@@ -58,7 +58,7 @@ func main() {
 		rate       = flag.Float64("rate", 200, "offered load of the latency and rebuildsched experiments in thousand ops/s across all clients (must be positive)")
 		reps       = flag.Int("reps", 3, "repetitions per measurement (paper: 10)")
 		rounds     = flag.Int("rounds", 4, "churn rounds for the rebuildc and leafslack ablations")
-		rbBudget   = flag.Int("rebuildbudget", 4096, "RebuildBudgetPerEpoch for the bounded and async rows of the rebuildsched experiment")
+		rbBudget   = flag.Int("rebuildbudget", 4096, "RebuildBudgetPerEpoch for the bounded row of the rebuildsched experiment (the eager row runs unbudgeted)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut    = flag.Bool("json", false, "emit one machine-readable JSON array with every experiment's series")
 		distName   = flag.String("dist", "",

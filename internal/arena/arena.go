@@ -54,8 +54,8 @@ const (
 //
 // With Disabled set, Get always allocates fresh and Put drops its
 // argument, restoring allocate-and-forget semantics bit for bit; the
-// flag backs the public ReuseBuffers knob and lets every test run
-// under both settings.
+// flag backs core.Config.DisableBufferReuse, the test hook that runs
+// the core differential and allocation tests with recycling off.
 type Scratch[T any] struct {
 	// Disabled turns the free list off: Get allocates, Put discards.
 	// Toggle only while no buffers are outstanding.

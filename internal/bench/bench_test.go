@@ -266,6 +266,34 @@ func TestRunConcurrentWorkloadShape(t *testing.T) {
 	}
 }
 
+// TestRunRebuildSchedShape: the rebuild-scheduler experiment reports
+// one eager and one bounded row; the bounded row's epochs stay within
+// the budget, and the eager row, which shares the scheduler with an
+// unlimited budget, reports the rebuild work its epochs ran — more
+// than the budget once the root (~2000 keys) trips.
+func TestRunRebuildSchedShape(t *testing.T) {
+	const budget = 256
+	rows := RunRebuildSched(Workload{N: 2000, M: 4000, Seed: 99}, 2, 0, 4, budget)
+	if len(rows) != 2 || rows[0].Mode != "eager" || rows[1].Mode != "bounded" {
+		t.Fatalf("got modes %v, want [eager bounded]", rows)
+	}
+	eager, bounded := rows[0], rows[1]
+	if eager.Budget != 0 || bounded.Budget != budget {
+		t.Fatalf("budget column wrong: eager %d, bounded %d", eager.Budget, bounded.Budget)
+	}
+	if eager.MaxEpochRebuildKeys <= budget || eager.PeakRebuildDebt != 0 {
+		t.Fatalf("eager row should report rebuild spend and no debt: %+v", eager)
+	}
+	if bounded.MaxEpochRebuildKeys > budget {
+		t.Fatalf("bounded epoch spent %d rebuild keys, budget %d", bounded.MaxEpochRebuildKeys, budget)
+	}
+	for _, r := range rows {
+		if r.AchievedKops <= 0 || r.P50US > r.P999US {
+			t.Fatalf("bad latency row %+v", r)
+		}
+	}
+}
+
 func TestConcurrentScriptsDeterministicAndFair(t *testing.T) {
 	w := tiny()
 	a := concurrentScripts(w, 0, 4)

@@ -11,13 +11,12 @@ import (
 // client-observed latency percentiles of write-heavy point-op churn
 // under one rebuild-scheduling mode. The eager row is the paper's
 // behavior (every due rebuild inline, RebuildBudgetPerEpoch unset) and
-// is the baseline the bounded and async rows are gated against: the
-// whole point of the scheduler is the p999 column, which under eager
+// is the baseline the bounded row is gated against: the whole point of the scheduler is the p999 column, which under eager
 // scheduling absorbs the full O(n) root-rebuild stall plus the queueing
 // backlog it causes (the open-loop harness charges a stall to every op
 // it postpones).
 type RebuildSchedRow struct {
-	Mode         string  // "eager" | "bounded" | "async"
+	Mode         string  // "eager" | "bounded"
 	Dist         string  // batch distribution of the churn scripts
 	Budget       int     // RebuildBudgetPerEpoch (0 for eager)
 	Clients      int     // client goroutines offering load
@@ -30,8 +29,9 @@ type RebuildSchedRow struct {
 	P999US       float64
 	MaxUS        float64
 	// MaxEpochRebuildKeys is the largest per-epoch rebuild spend any
-	// recorded epoch trace reports — the empirical witness that the
-	// cap held (eager mode reports 0: no scheduler, nothing counted).
+	// recorded epoch trace reports — under a budget, the empirical
+	// witness that the cap held; under eager, the largest inline
+	// rebuild work one epoch absorbed.
 	MaxEpochRebuildKeys int
 	// PeakRebuildDebt is the largest outstanding-debt figure any epoch
 	// trace reports, in keys — how far behind the drain ran.
@@ -46,9 +46,9 @@ const rebuildChurnPermille = 100
 
 // RunRebuildSched measures the latency effect of the amortized rebuild
 // scheduler: the same open-loop write-heavy churn is replayed against
-// three identically loaded Concurrent frontends — eager (no budget),
-// bounded-sync (budget, inline drains), async (budget + background
-// rebuilds) — and each run reports the coordinated-omission-safe
+// two identically loaded Concurrent frontends — eager (no budget) and
+// bounded (budget, debt drained at epoch boundaries) — and each run
+// reports the coordinated-omission-safe
 // percentiles plus the scheduler evidence from its epoch traces.
 // rateKops <= 0 replays closed-loop (saturation latency).
 func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int) []RebuildSchedRow {
@@ -83,11 +83,9 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 	modes := []struct {
 		name   string
 		budget int
-		async  bool
 	}{
-		{"eager", 0, false},
-		{"bounded", budget, false},
-		{"async", budget, true},
+		{"eager", 0},
+		{"bounded", budget},
 	}
 
 	rows := make([]RebuildSchedRow, 0, len(modes))
@@ -96,7 +94,6 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 			Options: pbist.Options{
 				AssumeSorted:          true, // base is sorted unique
 				RebuildBudgetPerEpoch: m.budget,
-				AsyncRebuild:          m.async,
 			},
 			TraceDepth: 1 << 15,
 		}, base, baseVals)

@@ -71,13 +71,11 @@ type Publisher interface {
 // rebuild scheduling (core's sched.go): an engine that implements it
 // has its epochs bracketed so one rebuild budget covers everything the
 // epoch's write traversals spend. BeginRebuildEpoch runs before the
-// epoch executes (and splices any finished background rebuild in, so
-// the epoch serves the repaired shape); EndRebuildEpoch runs after the
-// epoch publishes — the moment the live tree is frozen — draining
-// deferred debt synchronously or kicking the next background rebuild,
-// and reports the rebuild keys the epoch spent plus the debt still
-// outstanding, which the epoch trace records. Both are cheap no-ops on
-// an engine without a configured budget.
+// epoch executes; EndRebuildEpoch runs after the epoch publishes,
+// draining deferred debt up to the remaining budget, and reports the
+// rebuild keys the epoch spent plus the debt still outstanding, which
+// the epoch trace records. Both are a few uncontended lock round trips
+// on an engine without a configured budget.
 type RebuildScheduled interface {
 	BeginRebuildEpoch()
 	EndRebuildEpoch() (spentKeys, debtKeys int)
@@ -105,17 +103,9 @@ type Scratch[K cmp.Ordered, V any] struct {
 	obsOnce sync.Once
 }
 
-// NewScratch returns an empty combiner scratch arena. With disabled
-// set, every borrow allocates fresh and every return is dropped — the
-// NoBufferReuse semantics.
-func NewScratch[K cmp.Ordered, V any](disabled bool) *Scratch[K, V] {
-	s := &Scratch[K, V]{}
-	s.ev.Disabled = disabled
-	s.keys.Disabled = disabled
-	s.vals.Disabled = disabled
-	s.bools.Disabled = disabled
-	s.i32s.Disabled = disabled
-	return s
+// NewScratch returns an empty combiner scratch arena.
+func NewScratch[K cmp.Ordered, V any]() *Scratch[K, V] {
+	return &Scratch[K, V]{}
 }
 
 // Retained reports the scratch free-list inventory across all element
@@ -150,12 +140,6 @@ type Options struct {
 	// arrivals stall (see loop), so MaxWait is a bound, not a tax paid
 	// on every epoch. Default 200µs.
 	MaxWait time.Duration
-	// NoBufferReuse turns off the recycling of per-epoch scratch
-	// buffers (event lists, distinct-key arrays, write batches)
-	// through the combiner's arena. The default (false) recycles
-	// them across epochs; results are identical either way.
-	NoBufferReuse bool
-
 	// Metrics attaches the combiner to an observability registry:
 	// epoch counters, phase-span and client-latency histograms record
 	// under the "combine." prefix, and epoch tracing turns on. nil
@@ -299,18 +283,17 @@ type Stats struct {
 // Close the Combiner to stop its goroutine.
 func New[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options) *Combiner[K, V] {
 	opts = opts.withDefaults()
-	return NewShared(eng, pool, opts, NewScratch[K, V](opts.NoBufferReuse))
+	return NewShared(eng, pool, opts, NewScratch[K, V]())
 }
 
 // NewShared is New with a caller-provided scratch arena, typically one
 // Scratch handed to every combiner of a shard group so the group's
-// retained scratch stays bounded regardless of shard count. With
-// opts.NoBufferReuse set, the shared arena is ignored and a private
-// disabled one is used, preserving the allocate-fresh semantics.
+// retained scratch stays bounded regardless of shard count. A nil
+// scr falls back to a private one.
 func NewShared[K cmp.Ordered, V any](eng Engine[K, V], pool *parallel.Pool, opts Options, scr *Scratch[K, V]) *Combiner[K, V] {
 	opts = opts.withDefaults()
-	if scr == nil || opts.NoBufferReuse {
-		scr = NewScratch[K, V](opts.NoBufferReuse)
+	if scr == nil {
+		scr = NewScratch[K, V]()
 	}
 	scr.Observe(opts.Metrics, "combine.scratch")
 	// An engine that publishes versions gets PublishVersion called at

@@ -104,11 +104,9 @@ type SharedArena[K iindex.Numeric, V any] struct {
 	ar *treeArena[K, V]
 }
 
-// NewSharedArena returns an empty shared arena. With disableReuse set
-// every Get allocates fresh and every Put is dropped, mirroring
-// Config.DisableBufferReuse.
-func NewSharedArena[K iindex.Numeric, V any](disableReuse bool) *SharedArena[K, V] {
-	return &SharedArena[K, V]{ar: newTreeArena[K, V](disableReuse)}
+// NewSharedArena returns an empty shared arena.
+func NewSharedArena[K iindex.Numeric, V any]() *SharedArena[K, V] {
+	return &SharedArena[K, V]{ar: newTreeArena[K, V](false)}
 }
 
 // Retained reports the arena's idle free-list inventory: buffers held

@@ -80,20 +80,13 @@ type Config struct {
 	Traverse TraverseMode
 	// RebuildBudgetPerEpoch caps the number of rebuild keys one
 	// mutating epoch (or one standalone batched mutation) may lay
-	// down. 0 (the default) keeps today's eager policy: every §7.1
-	// trigger rebuilds inline, however large. A positive budget defers
-	// triggers the epoch cannot afford — the subtree is recorded as
-	// rebuild debt and the mutation proceeds — and repays debt in
-	// later epochs, highest debt first (sched.go).
+	// down. 0 (the default) means no cap — the paper's eager policy:
+	// every §7.1 trigger rebuilds inline, however large. A positive
+	// budget defers triggers the epoch cannot afford — the subtree is
+	// recorded as rebuild debt and the mutation proceeds — and repays
+	// debt in later epochs, highest debt first; a subtree larger than
+	// the whole budget is never rebuilt (sched.go).
 	RebuildBudgetPerEpoch int
-	// AsyncRebuild drains deferred rebuild debt on a background
-	// goroutine instead of inside later epochs: the indebted subtree
-	// is rebuilt from the frozen published version while readers and
-	// the combiner keep serving, and the result is spliced in at an
-	// epoch boundary. Effective only with RebuildBudgetPerEpoch set on
-	// a publishing tree (EnablePublish); otherwise deferred debt
-	// drains synchronously.
-	AsyncRebuild bool
 	// LeafSlack is the capacity headroom factor of reallocated leaf
 	// arrays: a leaf merge that outgrows its storage allocates
 	// ceil(LeafSlack·n) slots for its n keys, so the next few merges
@@ -150,9 +143,9 @@ type Tree[K iindex.Numeric, V any] struct {
 	writeGen uint64
 	dirty    bool // mutations since the last publish
 
-	// sched is the amortized rebuild scheduler (sched.go); nil — the
-	// default — means every rebuild trigger runs eagerly inline.
-	sched *rebuildSched[K, V]
+	// sched is the amortized rebuild scheduler (sched.go); with no
+	// budget configured it lets every rebuild trigger run inline.
+	sched rebuildSched[K]
 }
 
 // node is one IST node (§3.1 plus the bookkeeping of §6–§7). Leaves
@@ -192,12 +185,12 @@ func (v *node[K, V]) isLeaf() bool { return v.children == nil }
 func New[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool) *Tree[K, V] {
 	cfg = cfg.withDefaults()
 	t := &Tree[K, V]{
-		cfg:   cfg,
-		pool:  pool,
-		ar:    newTreeArena[K, V](cfg.DisableBufferReuse),
-		obs:   newCoreObs(cfg.Metrics),
-		sched: newSched[K, V](cfg),
+		cfg:  cfg,
+		pool: pool,
+		ar:   newTreeArena[K, V](cfg.DisableBufferReuse),
+		obs:  newCoreObs(cfg.Metrics),
 	}
+	t.sched.init(cfg.RebuildBudgetPerEpoch, cfg.Metrics)
 	t.ar.observe(cfg.Metrics)
 	return t
 }
@@ -206,14 +199,15 @@ func New[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool) *Tree[K, V] {
 // private one, so several trees (a shard group) can recycle scratch
 // through one bounded free-list set. A nil arena falls back to a
 // private one. cfg.DisableBufferReuse still disables recycling for
-// this tree's borrows, but the authoritative disable switch of a
-// shared arena is the one it was constructed with.
+// this tree's sequential-walk scratch, but a shared arena's free lists
+// always recycle.
 func NewWithArena[K iindex.Numeric, V any](cfg Config, pool *parallel.Pool, sa *SharedArena[K, V]) *Tree[K, V] {
 	if sa == nil {
 		return New[K, V](cfg, pool)
 	}
 	cfg = cfg.withDefaults()
-	t := &Tree[K, V]{cfg: cfg, pool: pool, ar: sa.ar, obs: newCoreObs(cfg.Metrics), sched: newSched[K, V](cfg)}
+	t := &Tree[K, V]{cfg: cfg, pool: pool, ar: sa.ar, obs: newCoreObs(cfg.Metrics)}
+	t.sched.init(cfg.RebuildBudgetPerEpoch, cfg.Metrics)
 	t.ar.observe(cfg.Metrics)
 	return t
 }

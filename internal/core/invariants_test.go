@@ -17,13 +17,11 @@ func checkInvariants[V any](t *testing.T, tr *Tree[int64, V]) {
 	// budget configured, a node may legally exceed its §7.1 budget as
 	// long as the excess is tracked as debt (see sched.go).
 	var debtKeys []int64
-	if s := tr.sched; s != nil {
-		s.mu.Lock()
-		for _, rec := range s.heap {
-			debtKeys = append(debtKeys, rec.key)
-		}
-		s.mu.Unlock()
+	tr.sched.mu.Lock()
+	for _, rec := range tr.sched.heap {
+		debtKeys = append(debtKeys, rec.key)
 	}
+	tr.sched.mu.Unlock()
 	var walk func(v *node[int64, V], lo, hi *int64) int
 	walk = func(v *node[int64, V], lo, hi *int64) int {
 		if v == nil {
@@ -63,7 +61,7 @@ func checkInvariants[V any](t *testing.T, tr *Tree[int64, V]) {
 			budget = tr.cfg.RebuildFactor
 		}
 		if v.modCnt > budget {
-			// Over budget is legal only when a rebuild scheduler holds a
+			// Over budget is legal only when the rebuild scheduler holds a
 			// covering debt record: one whose key falls inside this
 			// subtree's bounds (a record key physically stays inside the
 			// subtree it was recorded for until a rebuild repays it, so

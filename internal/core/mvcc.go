@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,8 +138,13 @@ type mvccState[K iindex.Numeric, V any] struct {
 	bands      [2]band
 	snapCutoff atomic.Uint64 // max Version.gen captured by a durable Snapshot
 
-	seq  uint64               // publish counter
-	ring []retiredChunk[K, V] // grace ring
+	seq uint64 // publish counter
+
+	// ring is the grace ring. Rebuilds retire into it from inside the
+	// parallel batch recursion, so appends take ringMu; drainRetired
+	// runs between batches on the owning goroutine.
+	ringMu sync.Mutex
+	ring   []retiredChunk[K, V]
 
 	published *obs.Counter // versions published
 	retired   *obs.Counter // chunks entering the grace ring
@@ -357,6 +363,7 @@ func (t *Tree[K, V]) SnapshotNow() *Tree[K, V] {
 		pool: t.pool,
 		ar:   t.ar, // scratch free lists are concurrency-safe (SharedArena contract)
 	}
+	nt.sched.init(0, nil) // eager: the handle is not epoch-bracketed
 	nt.root = v.root
 	nt.writeGen = v.gen + 1 // strictly newer than anything shared
 	return nt
@@ -411,44 +418,37 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 }
 
 // replaceAtKey splices repl in place of the subtree rooted at target,
-// located by walking key from the root. The walk must reach target by
-// pointer identity — that identity is the splice's linearization
-// guard: every node of target was frozen when it was captured (its
-// generation predates the current one), so any mutation of the subtree
-// since then replaced its root via path copying, and finding the same
-// pointer proves the subtree is exactly the state the replacement was
-// built from. On success the old subtree's chunks retire through the
-// grace ring (readers of published versions may still hold them) and
-// the path down to the splice point is copied for the current
-// generation, so previously published versions stay intact. Returns
-// false — tree untouched — when the walk no longer reaches target.
-// Owning goroutine only, like every mutating method.
-func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) bool {
-	if t.root == target {
-		t.retireSubtree(target)
-		t.root = repl
-		t.dirty = true
-		return true
-	}
+// located by walking key from the root. drainDebt resolved target by
+// the same walk (findIndebted) just before, and nothing can change the
+// tree in between — only the owning goroutine mutates it — so the walk
+// reaching anything but target is a broken invariant and panics. The
+// old subtree's chunks retire through the grace ring (readers of
+// published versions may still hold them) and the path down to the
+// splice point is copied for the current generation, so previously
+// published versions stay intact. Owning goroutine only, like every
+// mutating method.
+func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) {
 	var nodes []*node[K, V]
 	var slots []int
 	v := t.root
-	for v != nil && v != target {
-		if v.isLeaf() {
-			return false
-		}
+	for v != nil && v != target && !v.isLeaf() {
 		pos, found := t.stepPos(v, key)
 		if found {
-			return false // key's node was rebuilt away or merged upward
+			break
 		}
 		nodes = append(nodes, v)
 		slots = append(slots, pos)
 		v = v.children[pos]
 	}
 	if v != target {
-		return false
+		panic("core: debt drain lost the subtree it just resolved: the tree changed between findIndebted and the splice")
 	}
 	t.retireSubtree(target)
+	t.dirty = true
+	if len(nodes) == 0 {
+		t.root = repl
+		return
+	}
 	top := t.owned(nodes[0])
 	cur := top
 	for i := 1; i < len(nodes); i++ {
@@ -458,31 +458,6 @@ func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) bool {
 	}
 	cur.children[slots[len(slots)-1]] = repl
 	t.root = top
-	t.dirty = true
-	return true
-}
-
-// discardBuilt recycles a rebuilt subtree that was never linked into
-// the tree (an async build whose splice lost to a concurrent change).
-// No grace period applies: the chunk was drawn fresh for this build
-// and no reader, version, or snapshot ever saw it, so its arrays go
-// straight back to the scratch free lists.
-//
-//pbist:releases
-func (t *Tree[K, V]) discardBuilt(v *node[K, V]) {
-	if v == nil {
-		return
-	}
-	if v.chunk != nil {
-		t.ar.keys.Put(v.chunk.ch.Keys)
-		t.ar.vals.Put(v.chunk.ch.Vals)
-		t.ar.bools.Put(v.chunk.ch.Exists)
-	}
-	for _, c := range v.children {
-		if c != nil {
-			t.discardBuilt(c)
-		}
-	}
 }
 
 // retireSubtree walks a subtree just replaced by a rebuild and moves
@@ -494,7 +469,9 @@ func (t *Tree[K, V]) retireSubtree(v *node[K, V]) {
 	if t.mv == nil || v == nil {
 		return
 	}
+	t.mv.ringMu.Lock()
 	t.collectRetired(v, t.mv.era.Load())
+	t.mv.ringMu.Unlock()
 }
 
 func (t *Tree[K, V]) collectRetired(v *node[K, V], era uint64) {

@@ -1,34 +1,36 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/iindex"
+	"repro/internal/obs"
 )
 
 // This file implements the amortized rebuild scheduler: the machinery
 // that decouples "subtree is over its modification budget" (§7.1) from
-// "rebuild it now". With Config.RebuildBudgetPerEpoch unset (the
-// default) the scheduler does not exist and every trigger site rebuilds
-// eagerly, exactly as before. With a budget set, each mutating epoch
-// (or standalone batch) may lay down at most that many rebuild keys;
-// triggers that would exceed the budget record the subtree as rebuild
-// debt instead and the mutation proceeds, letting modCnt run past
-// C·initSize. Debt is repaid in later epochs — synchronously from the
-// debt-priority heap (bounded-sync mode), or on a background goroutine
-// that rebuilds from the frozen published tree and splices the result
-// in at an epoch boundary (async mode, Config.AsyncRebuild, publishing
-// trees only).
+// "rebuild it now". Every tree runs one. Each mutating epoch (or
+// standalone batch) may lay down at most Config.RebuildBudgetPerEpoch
+// rebuild keys; unset (the default), the budget is math.MaxInt, every
+// reservation succeeds, and every trigger rebuilds inline — the
+// paper's eager policy, which is simply the unlimited-budget case of
+// the one path below. With a budget set, triggers that would exceed it
+// record the subtree as rebuild debt instead and the mutation
+// proceeds, letting modCnt run past C·initSize. Debt is repaid
+// synchronously at later epoch boundaries from the debt-priority heap,
+// highest debt first, as far as each epoch's budget reaches. A subtree
+// larger than the whole budget therefore never fits and is never
+// rebuilt; that is the cost of setting a budget, and the remedy is a
+// larger budget (or none).
 //
 // Concurrency: the heap, the byKey index, and the spent counter are
 // guarded by mu because rebuild triggers fire inside the parallel
 // batch recursion (insertRec/removeRec fan out across pool workers).
-// Everything else — epoch bracketing, drains, async kick/splice — runs
-// on the goroutine that owns the tree (the combiner, in the published
-// setup), like every other mutating method. The async worker itself
-// touches only its job and the shared arena/pool/metric handles, all
-// of which are concurrency-safe.
+// Everything else — epoch bracketing and drains — runs on the
+// goroutine that owns the tree (the combiner, in the published setup),
+// like every other mutating method.
 
 // debtRec locates one indebted subtree: key is the first rep key the
 // subtree root held when the debt was recorded (stable across COW
@@ -46,76 +48,48 @@ type debtRec[K iindex.Numeric] struct {
 // schedCounters is the scheduler's observable state, split from the
 // generic scheduler so obs.go can register it without type parameters.
 type schedCounters struct {
-	debtKeys      atomic.Int64 // outstanding debt (sum of record priorities)
-	deferredKeys  atomic.Int64 // cumulative rebuild keys whose work was deferred
-	asyncRuns     atomic.Int64 // background rebuilds launched
-	spliceRetries atomic.Int64 // async splices abandoned (subtree changed)
+	debtKeys     atomic.Int64 // outstanding debt (sum of record priorities)
+	deferredKeys atomic.Int64 // cumulative rebuild keys whose work was deferred
 }
 
-// asyncResult is what one background rebuild hands back: the rebuilt
-// subtree (nil when every key of the old subtree was logically dead)
-// and the number of keys it laid down.
-type asyncResult[K iindex.Numeric, V any] struct {
-	built *node[K, V]
-	keys  int
-}
-
-// asyncJob is one in-flight background rebuild. The owning goroutine
-// (combiner) fills the capture fields at launch; the worker publishes
-// exactly once through done. old is safe for the worker to read without
-// synchronization beyond done: it was captured from a just-published
-// tree, so every node in it is frozen — later mutations copy before
-// writing — and the pin keeps its chunk storage out of the recycler.
-type asyncJob[K iindex.Numeric, V any] struct {
-	key  K           // debt-record key, for the splice walk
-	old  *node[K, V] // captured subtree root; identity = unchanged
-	gen  uint64      // writeGen at capture; the build's node generation
-	pin  ReaderPin
-	done atomic.Pointer[asyncResult[K, V]]
-}
-
-// rebuildSched is the per-tree scheduler state. nil (budget unset)
-// means eager rebuilds everywhere.
-type rebuildSched[K iindex.Numeric, V any] struct {
-	budget int  // max rebuild keys per epoch/batch
-	async  bool // drain debt on a background goroutine
+// rebuildSched is the per-tree scheduler state, embedded in Tree by
+// value so it is never nil and costs a tree no allocation of its own;
+// the byKey index is allocated on the first deferral, which an eager
+// tree never makes.
+type rebuildSched[K iindex.Numeric] struct {
+	budget int // max rebuild keys per epoch/batch; math.MaxInt = eager
 
 	mu        sync.Mutex
 	spent     int  // rebuild keys reserved in the current epoch/batch
 	epochOpen bool // a combiner epoch brackets the current batches
 	heap      []debtRec[K]
-	byKey     map[K]int // record key → heap position
+	byKey     map[K]int    // record key → heap position
+	parked    []debtRec[K] // records drainDebt set aside; owning goroutine only
 
 	c schedCounters
-
-	job *asyncJob[K, V] // in-flight background rebuild, nil if none
 }
 
-// newSched builds the scheduler for cfg, nil when no budget is set.
-func newSched[K iindex.Numeric, V any](cfg Config) *rebuildSched[K, V] {
-	if cfg.RebuildBudgetPerEpoch <= 0 {
-		return nil
+// init sets the per-epoch budget (math.MaxInt when budget ≤ 0) and
+// registers the scheduler's gauges with r (nil: unobserved).
+func (s *rebuildSched[K]) init(budget int, r *obs.Registry) {
+	if budget <= 0 {
+		budget = math.MaxInt
 	}
-	s := &rebuildSched[K, V]{
-		budget: cfg.RebuildBudgetPerEpoch,
-		async:  cfg.AsyncRebuild,
-		byKey:  make(map[K]int),
-	}
-	s.c.observe(cfg.Metrics)
-	return s
+	s.budget = budget
+	s.c.observe(r)
 }
 
 // --- debt heap (max-heap by debt, byKey position index) ---
 // All heap mutators run with s.mu held.
 
-func (s *rebuildSched[K, V]) swap(i, j int) {
+func (s *rebuildSched[K]) swap(i, j int) {
 	h := s.heap
 	h[i], h[j] = h[j], h[i]
 	s.byKey[h[i].key] = i
 	s.byKey[h[j].key] = j
 }
 
-func (s *rebuildSched[K, V]) siftUp(i int) {
+func (s *rebuildSched[K]) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if s.heap[p].debt >= s.heap[i].debt {
@@ -126,7 +100,7 @@ func (s *rebuildSched[K, V]) siftUp(i int) {
 	}
 }
 
-func (s *rebuildSched[K, V]) siftDown(i int) {
+func (s *rebuildSched[K]) siftDown(i int) {
 	n := len(s.heap)
 	for {
 		l, r, big := 2*i+1, 2*i+2, i
@@ -144,15 +118,18 @@ func (s *rebuildSched[K, V]) siftDown(i int) {
 	}
 }
 
-func (s *rebuildSched[K, V]) heapPush(rec debtRec[K]) {
+func (s *rebuildSched[K]) heapPush(rec debtRec[K]) {
+	if s.byKey == nil {
+		s.byKey = make(map[K]int)
+	}
 	s.heap = append(s.heap, rec)
 	s.byKey[rec.key] = len(s.heap) - 1
 	s.siftUp(len(s.heap) - 1)
 }
 
-// removeAt drops the record at heap position i, keeping the debt gauge
-// in step.
-func (s *rebuildSched[K, V]) removeAt(i int) {
+// removeAt takes the record at heap position i out of the heap and
+// returns it; the debt gauge is the caller's to adjust.
+func (s *rebuildSched[K]) removeAt(i int) debtRec[K] {
 	rec := s.heap[i]
 	last := len(s.heap) - 1
 	s.swap(i, last)
@@ -162,20 +139,43 @@ func (s *rebuildSched[K, V]) removeAt(i int) {
 		s.siftDown(i)
 		s.siftUp(i)
 	}
-	s.c.debtKeys.Add(-int64(rec.debt))
+	return rec
 }
 
-// removeRecord drops the record for key if one exists.
-func (s *rebuildSched[K, V]) removeRecord(key K) {
+// removeRecord drops the record for key if one exists: its debt is
+// repaid or stale.
+func (s *rebuildSched[K]) removeRecord(key K) {
 	s.mu.Lock()
 	if i, ok := s.byKey[key]; ok {
-		s.removeAt(i)
+		s.c.debtKeys.Add(-int64(s.removeAt(i).debt))
 	}
 	s.mu.Unlock()
 }
 
+// park sets the top record aside for the rest of a drain, so the
+// records below it get their turn; unpark puts every parked record
+// back. The debt stays outstanding throughout, so the gauge is not
+// touched.
+func (s *rebuildSched[K]) park() {
+	s.mu.Lock()
+	s.parked = append(s.parked, s.removeAt(0))
+	s.mu.Unlock()
+}
+
+func (s *rebuildSched[K]) unpark() {
+	if len(s.parked) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, rec := range s.parked {
+		s.heapPush(rec)
+	}
+	s.parked = s.parked[:0]
+	s.mu.Unlock()
+}
+
 // peekTop returns the highest-debt record without removing it.
-func (s *rebuildSched[K, V]) peekTop() (debtRec[K], bool) {
+func (s *rebuildSched[K]) peekTop() (debtRec[K], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.heap) == 0 {
@@ -192,15 +192,13 @@ func (s *rebuildSched[K, V]) peekTop() (debtRec[K], bool) {
 // live/absent, so an insert rebuild lays down size+k keys and a remove
 // rebuild size−k — which makes the reservation the spend: no refund
 // path, and the per-epoch cap holds under the parallel recursion
-// because check and reserve are one critical section. A nil scheduler
-// always allows (eager behavior).
+// because check and reserve are one critical section. The comparison
+// is written as est ≤ budget − spent so the unlimited (eager) budget
+// cannot overflow; there every reservation succeeds.
 func (t *Tree[K, V]) tryReserveRebuild(est int) bool {
-	s := t.sched
-	if s == nil {
-		return true
-	}
+	s := &t.sched
 	s.mu.Lock()
-	ok := s.spent+est <= s.budget
+	ok := est <= s.budget-s.spent
 	if ok {
 		s.spent += est
 	}
@@ -215,7 +213,7 @@ func (t *Tree[K, V]) tryReserveRebuild(est int) bool {
 // applies; est is the rebuild size that was deferred (feeds the
 // deferred_keys counter). Called from inside the parallel recursion.
 func (t *Tree[K, V]) deferRebuild(v *node[K, V], k, est int) {
-	s := t.sched
+	s := &t.sched
 	key := v.rep[0]
 	debt := v.modCnt + k
 	s.mu.Lock()
@@ -233,14 +231,14 @@ func (t *Tree[K, V]) deferRebuild(v *node[K, V], k, est int) {
 	s.c.deferredKeys.Add(int64(est))
 }
 
-// --- record resolution (owning goroutine only) ---
+// --- record resolution and drain (owning goroutine only) ---
 
 // stepPos locates key in v.rep for a single-key walk, honoring the
-// tree's traversal mode the same way findPositionsSeq does: child
-// stepPos descends children[pos] when !found.
+// tree's traversal mode the same way findPositionsSeq does: the walk
+// descends children[pos] when !found.
 func (t *Tree[K, V]) stepPos(v *node[K, V], key K) (pos int, found bool) {
 	if t.cfg.Traverse == TraverseRank {
-		ub := upperBound(v.rep, key)
+		ub := upperBoundKeys(v.rep, key)
 		if ub > 0 && v.rep[ub-1] == key {
 			return ub - 1, true
 		}
@@ -252,164 +250,76 @@ func (t *Tree[K, V]) stepPos(v *node[K, V], key K) (pos int, found bool) {
 	return iindex.Find(v.rep, &v.idx, key)
 }
 
-// upperBound is a plain binary search: the number of rep keys <= key.
-func upperBound[K iindex.Numeric](rep []K, key K) int {
-	lo, hi := 0, len(rep)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if rep[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// findIndebted resolves a debt-record key to the topmost over-budget
-// node on its root-to-leaf path, or nil when the record is stale (an
-// enclosing rebuild already repaid the debt). Rebuilding the topmost
-// such node repays every deeper debt under it in one stroke; records
-// of those deeper subtrees then resolve to nil and are dropped.
-// Staleness is exact: a record's key physically stays inside the
-// subtree it was recorded for (inner reps are immutable, leaf reps
-// only grow) until a rebuild removes the subtree, so the walk cannot
-// stop short of a still-indebted recordee.
-func (t *Tree[K, V]) findIndebted(key K) *node[K, V] {
-	v := t.root
-	for v != nil {
+// findIndebted resolves a debt-record key against the live tree. It
+// returns the topmost over-budget node on the key's root-to-leaf path
+// that one epoch's budget can rebuild (size ≤ budget) — rebuilding it
+// repays every deeper debt under it in one stroke — and reports
+// whether the path holds any over-budget node at all. (nil, false)
+// means the record is stale: an enclosing rebuild already repaid it.
+// (nil, true) means every over-budget node on the path is larger than
+// the whole budget, which no epoch can repay. Staleness is exact: a
+// record's key physically stays inside the subtree it was recorded for
+// (inner reps are immutable, leaf reps only grow) until a rebuild
+// removes the subtree, so the walk cannot stop short of a
+// still-indebted recordee.
+func (t *Tree[K, V]) findIndebted(key K) (fit *node[K, V], indebted bool) {
+	for v := t.root; v != nil; {
 		if t.rebuildDue(v, 0) {
-			return v
+			if v.size <= t.sched.budget {
+				return v, true
+			}
+			indebted = true
 		}
 		if v.isLeaf() {
-			return nil
+			break
 		}
 		pos, found := t.stepPos(v, key)
 		if found {
-			return nil
+			break
 		}
 		v = v.children[pos]
 	}
-	return nil
-}
-
-// rebuildNode rebuilds subtree v ideally from its live contents — the
-// drain-path analog of rebuildMerged/rebuildSubtracted, with no batch
-// riding along — returning the new subtree root (nil when every key
-// was logically dead) and the number of keys laid down.
-func (t *Tree[K, V]) rebuildNode(v *node[K, V]) (*node[K, V], int) {
-	t0 := obsNow(t.obs)
-	flatK, flatV := t.flattenScratch(v)
-	n := len(flatK)
-	root := t.labeledBuild(flatK, flatV)
-	t.ar.putKV(flatK, flatV)
-	t.recordRebuild(t0, n)
-	return root, n
+	return nil, indebted
 }
 
 // drainDebt synchronously repays deferred debt, highest priority
-// first, until the heap empties or the next victim would push the
-// epoch past its budget. A victim larger than the whole budget
-// therefore starves in bounded-sync mode — the documented tradeoff
-// that async mode exists to remove. Owning goroutine only.
+// first, until the heap empties or the next rebuild would push the
+// epoch past its budget. A record whose path holds only subtrees
+// larger than the whole budget is parked for the rest of the drain, so
+// it does not block the debt below it; those subtrees are never
+// rebuilt — the documented cost of setting a budget. A rebuilt record
+// stays in the heap until the next round re-resolves it: stale if the
+// rebuild repaid it, or pointing at the next over-budget node on its
+// path. On an eager tree the heap is always empty and this is one lock
+// round trip. Owning goroutine only.
 func (t *Tree[K, V]) drainDebt() {
-	s := t.sched
+	s := &t.sched
+	defer s.unpark()
 	for {
 		rec, ok := s.peekTop()
 		if !ok {
 			return
 		}
-		v := t.findIndebted(rec.key)
-		if v == nil {
+		v, indebted := t.findIndebted(rec.key)
+		switch {
+		case !indebted:
 			s.removeRecord(rec.key)
-			continue
-		}
-		s.mu.Lock()
-		fits := s.spent+v.size <= s.budget
-		if fits {
-			s.spent += v.size
-		}
-		s.mu.Unlock()
-		if !fits {
+		case v == nil:
+			s.park()
+		case !t.tryReserveRebuild(v.size):
 			return
-		}
-		repl, _ := t.rebuildNode(v)
-		if !t.replaceAtKey(rec.key, v, repl) {
-			// Unreachable on the owning goroutine — nothing ran between
-			// findIndebted and the splice — but fail safe: recycle the
-			// orphan build and leave the record for the next drain.
-			t.discardBuilt(repl)
-			return
-		}
-		s.removeRecord(rec.key)
-	}
-}
-
-// --- async drain (owning goroutine kicks/splices; worker builds) ---
-
-// tickAsync advances the background drain by one step: splice a
-// finished job if one is waiting, then — when the live tree is clean,
-// i.e. identical to the published version with every node frozen —
-// launch the next job from the top of the debt heap. Owning goroutine
-// only; called at epoch boundaries.
-func (t *Tree[K, V]) tickAsync() {
-	s := t.sched
-	if j := s.job; j != nil {
-		res := j.done.Load()
-		if res == nil {
-			return // still building
-		}
-		s.job = nil
-		if t.replaceAtKey(j.key, j.old, res.built) {
-			s.removeRecord(j.key)
-		} else {
-			// The subtree changed while the worker built (its root was
-			// COW-replaced), so the build describes a stale state: count
-			// the retry and recycle the never-published chunk directly —
-			// no grace period needed, no reader ever saw it.
-			s.c.spliceRetries.Add(1)
-			t.discardBuilt(res.built)
+		default:
+			// Rebuild v ideally from its live contents — the drain-path
+			// analog of rebuildMerged/rebuildSubtracted, with no batch
+			// riding along.
+			t0 := obsNow(t.obs)
+			flatK, flatV := t.flattenScratch(v)
+			repl := t.labeledBuild(flatK, flatV)
+			t.ar.putKV(flatK, flatV)
+			t.recordRebuild(t0, len(flatK))
+			t.replaceAtKey(rec.key, v, repl)
 		}
 	}
-	if t.dirty {
-		// Unpublished mutations exist, so live nodes of the current
-		// generation could mutate in place under a worker — pointer
-		// identity would no longer mean "unchanged". Kick next epoch,
-		// right after a publish, when everything is frozen again.
-		return
-	}
-	for {
-		rec, ok := s.peekTop()
-		if !ok {
-			return
-		}
-		v := t.findIndebted(rec.key)
-		if v == nil {
-			s.removeRecord(rec.key)
-			continue
-		}
-		j := &asyncJob[K, V]{key: rec.key, old: v, gen: t.writeGen, pin: t.PinReader()}
-		s.job = j
-		s.c.asyncRuns.Add(1)
-		go t.runAsyncRebuild(j)
-		return
-	}
-}
-
-// runAsyncRebuild is the worker: flatten the captured (frozen) subtree
-// and build its ideal replacement off the critical path, then hand the
-// result back for the next epoch boundary to splice. It works through
-// a detached tree handle so the build is attributed to the capture
-// generation and draws exact-size GC-managed chunks (mv nil), while
-// sharing the arena free lists, pool, and metric handles — all safe
-// for concurrent use. The pin covers every read of the old subtree's
-// chunk storage and is released before the result is published, so an
-// abandoned job (frontend closed mid-build) cannot wedge reclamation.
-func (t *Tree[K, V]) runAsyncRebuild(j *asyncJob[K, V]) {
-	bt := &Tree[K, V]{cfg: t.cfg, pool: t.pool, ar: t.ar, obs: t.obs, writeGen: j.gen}
-	built, n := bt.rebuildNode(j.old)
-	j.pin.Release()
-	j.done.Store(&asyncResult[K, V]{built: built, keys: n})
 }
 
 // --- epoch bracketing ---
@@ -420,22 +330,14 @@ func (t *Tree[K, V]) runAsyncRebuild(j *asyncJob[K, V]) {
 // already reset the budget, and the epoch's PutBatched and
 // RemoveBatched share it — so this is a no-op.
 func (t *Tree[K, V]) beginBatch() {
-	s := t.sched
-	if s == nil {
-		return
-	}
+	s := &t.sched
 	s.mu.Lock()
 	open := s.epochOpen
 	if !open {
 		s.spent = 0
 	}
 	s.mu.Unlock()
-	if open {
-		return
-	}
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	} else {
+	if !open {
 		t.drainDebt()
 	}
 }
@@ -444,40 +346,22 @@ func (t *Tree[K, V]) beginBatch() {
 // combiner calls it before executing the epoch (combine.RebuildScheduled);
 // every rebuild the epoch's write traversals perform — plus the
 // EndRebuildEpoch drain — then shares one RebuildBudgetPerEpoch cap.
-// In async mode a finished background rebuild is spliced here, before
-// the epoch's reads, so the epoch already serves the repaired shape.
-// No-op without a scheduler.
 func (t *Tree[K, V]) BeginRebuildEpoch() {
-	s := t.sched
-	if s == nil {
-		return
-	}
+	s := &t.sched
 	s.mu.Lock()
 	s.epochOpen = true
 	s.spent = 0
 	s.mu.Unlock()
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	}
 }
 
 // EndRebuildEpoch closes the epoch's budget window after the epoch has
-// published: bounded-sync mode drains debt up to the remaining budget;
-// async mode splices/kicks background work (the post-publish moment is
-// exactly when the live tree is frozen, so a job can launch). Returns
-// the rebuild keys the epoch spent — the number the per-epoch cap
-// bounds — and the outstanding debt, both of which feed the epoch
-// trace. No-op (0, 0) without a scheduler.
+// published, draining debt up to the remaining budget. Returns the
+// rebuild keys the epoch spent — the number the per-epoch cap bounds,
+// and under the eager default simply every rebuild the epoch ran —
+// and the outstanding debt, both of which feed the epoch trace.
 func (t *Tree[K, V]) EndRebuildEpoch() (spentKeys, debtKeys int) {
-	s := t.sched
-	if s == nil {
-		return 0, 0
-	}
-	if s.async && t.mv != nil {
-		t.tickAsync()
-	} else {
-		t.drainDebt()
-	}
+	t.drainDebt()
+	s := &t.sched
 	s.mu.Lock()
 	spentKeys = s.spent
 	s.epochOpen = false

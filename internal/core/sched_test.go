@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 // schedMutation is one step of a deterministic churn script: a put
@@ -40,9 +39,11 @@ func schedScript(seed int64, steps, batch int) []schedMutation {
 
 // applyScript runs script against tr. When epochs is true every step is
 // bracketed the way the combiner brackets an epoch — BeginRebuildEpoch,
-// mutate, PublishVersion, EndRebuildEpoch — and the per-epoch rebuild
-// spend is asserted against budget (0 disables the assertion).
-func applyScript(t *testing.T, tr *Tree[int64, int64], script []schedMutation, epochs bool, budget int) {
+// mutate, PublishVersion, EndRebuildEpoch — the per-epoch rebuild
+// spend is asserted against budget (0 disables the assertion), and the
+// result reports the total spend plus how many post-publish drains
+// rebuilt something.
+func applyScript(t *testing.T, tr *Tree[int64, int64], script []schedMutation, epochs bool, budget int) (spent, drains int) {
 	t.Helper()
 	for i, m := range script {
 		if epochs {
@@ -55,35 +56,35 @@ func applyScript(t *testing.T, tr *Tree[int64, int64], script []schedMutation, e
 		}
 		if epochs {
 			tr.PublishVersion()
-			spent, _ := tr.EndRebuildEpoch()
-			if budget > 0 && spent > budget {
-				t.Fatalf("step %d: epoch spent %d rebuild keys, budget %d", i, spent, budget)
+			tr.sched.mu.Lock()
+			before := tr.sched.spent
+			tr.sched.mu.Unlock()
+			n, _ := tr.EndRebuildEpoch()
+			if budget > 0 && n > budget {
+				t.Fatalf("step %d: epoch spent %d rebuild keys, budget %d", i, n, budget)
 			}
+			if n > before {
+				drains++
+			}
+			spent += n
 		}
 	}
+	return spent, drains
 }
 
-// drainAsync runs empty epochs until the scheduler's debt heap empties:
-// each round splices any finished background rebuild, republishes, and
-// kicks the next job. Fails the test if debt does not converge.
-func drainAsync(t *testing.T, tr *Tree[int64, int64]) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+// settleDebt runs empty epochs until the post-publish drain makes no
+// more progress, returning the debt left: under a bounded budget, the
+// subtrees too large for any one epoch to rebuild.
+func settleDebt(tr *Tree[int64, int64]) int {
+	prev := -1
 	for {
 		tr.BeginRebuildEpoch()
 		tr.PublishVersion()
-		tr.EndRebuildEpoch()
-		tr.sched.mu.Lock()
-		debt := len(tr.sched.heap)
-		busy := tr.sched.job != nil
-		tr.sched.mu.Unlock()
-		if debt == 0 && !busy {
-			return
+		_, debt := tr.EndRebuildEpoch()
+		if debt == prev {
+			return debt
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("async drain did not converge: %d debt records outstanding", debt)
-		}
-		time.Sleep(time.Millisecond)
+		prev = debt
 	}
 }
 
@@ -118,80 +119,67 @@ func TestRebuildBudgetStandaloneBatches(t *testing.T) {
 
 // TestRebuildBudgetEpochCap: under combiner-style epoch bracketing the
 // spend EndRebuildEpoch reports — write-traversal rebuilds plus the
-// post-publish drain — respects the cap every epoch, in both bounded
-// modes. This is the acceptance assertion behind the epoch traces.
+// post-publish drain — respects the cap every epoch, and the drain
+// actually repays debt. This is the acceptance assertion behind the
+// epoch traces.
 func TestRebuildBudgetEpochCap(t *testing.T) {
 	const budget = 1024
-	for _, async := range []bool{false, true} {
-		name := "bounded-sync"
-		if async {
-			name = "async"
+	t.Run("bounded-sync", func(t *testing.T) {
+		tr := New[int64, int64](Config{RebuildBudgetPerEpoch: budget}, nil)
+		tr.EnablePublish()
+		_, drains := applyScript(t, tr, schedScript(7, 200, 512), true, budget)
+		checkInvariants(t, tr)
+		if tr.Stats().DeferredKeys == 0 {
+			t.Fatal("write-heavy churn never deferred a rebuild; budget not exercised")
 		}
-		t.Run(name, func(t *testing.T) {
-			tr := New[int64, int64](Config{RebuildBudgetPerEpoch: budget, AsyncRebuild: async}, nil)
-			tr.EnablePublish()
-			applyScript(t, tr, schedScript(7, 200, 512), true, budget)
-			checkInvariants(t, tr)
-			st := tr.Stats()
-			if st.DeferredKeys == 0 {
-				t.Fatal("write-heavy churn never deferred a rebuild; budget not exercised")
-			}
-			if async {
-				drainAsync(t, tr)
-				if d := tr.Stats().DebtKeys; d != 0 {
-					t.Fatalf("debt gauge %d after async drain, want 0", d)
-				}
-				if tr.Stats().AsyncRebuilds == 0 {
-					t.Fatal("async mode launched no background rebuilds")
-				}
-				checkInvariants(t, tr)
-			}
-		})
-	}
+		if drains == 0 {
+			t.Fatal("no post-publish drain rebuilt anything; debt repayment not exercised")
+		}
+		settleDebt(tr)
+		checkInvariants(t, tr)
+	})
 }
 
 // TestSchedDifferentialConvergence: one churn script applied under
-// eager, bounded-sync, and async scheduling converges to identical
-// contents — scheduling moves rebuild work in time, never changes what
-// the tree stores — and every variant passes the full invariant check.
+// eager and bounded scheduling converges to identical contents —
+// scheduling moves rebuild work in time, never changes what the tree
+// stores — and both pass the full invariant check. Eager epochs report
+// the rebuild work they ran, and never defer any.
 func TestSchedDifferentialConvergence(t *testing.T) {
 	script := schedScript(42, 160, 384)
 
 	eager := New[int64, int64](Config{}, nil)
 	eager.EnablePublish()
-	applyScript(t, eager, script, true, 0)
+	eagerSpent, _ := applyScript(t, eager, script, true, 0)
+	if eagerSpent == 0 {
+		t.Fatal("eager epochs reported no rebuild spend")
+	}
+	if st := eager.Stats(); st.DeferredKeys != 0 || st.DebtKeys != 0 {
+		t.Fatalf("eager tree deferred work: %+v", st)
+	}
 
 	bounded := New[int64, int64](Config{RebuildBudgetPerEpoch: 256}, nil)
 	bounded.EnablePublish()
 	applyScript(t, bounded, script, true, 256)
 
-	async := New[int64, int64](Config{RebuildBudgetPerEpoch: 256, AsyncRebuild: true}, nil)
-	async.EnablePublish()
-	applyScript(t, async, script, true, 256)
-	drainAsync(t, async)
-
 	wantK, wantV := eager.Items()
-	for _, v := range []struct {
-		name string
-		tr   *Tree[int64, int64]
-	}{{"bounded-sync", bounded}, {"async", async}} {
-		gotK, gotV := v.tr.Items()
-		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-			t.Fatalf("%s diverged from eager: %d keys vs %d", v.name, len(gotK), len(wantK))
-		}
-		checkInvariants(t, v.tr)
+	gotK, gotV := bounded.Items()
+	if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+		t.Fatalf("bounded diverged from eager: %d keys vs %d", len(gotK), len(wantK))
 	}
+	checkInvariants(t, bounded)
 	checkInvariants(t, eager)
 }
 
-// TestAsyncRebuildWithSnapshotReaders races background rebuilds and
-// their splices against wait-free snapshot readers across many
-// reclamation grace periods: readers pin versions, iterate durable
-// snapshots, and must never observe a key the published version did
-// not contain. Run under -race this also checks the splice path
-// publishes the rebuilt subtree safely.
-func TestAsyncRebuildWithSnapshotReaders(t *testing.T) {
-	tr := New[int64, int64](Config{RebuildBudgetPerEpoch: 128, AsyncRebuild: true}, nil)
+// TestBoundedDrainWithSnapshotReaders races the bounded drain's splices
+// (replaceAtKey) and the subtree retirements they cause against
+// wait-free snapshot readers across many reclamation grace periods:
+// readers pin versions, iterate durable snapshots, and must never
+// observe a key the published version did not contain. Run under -race
+// this also checks the splice path publishes the rebuilt subtree
+// safely.
+func TestBoundedDrainWithSnapshotReaders(t *testing.T) {
+	tr := New[int64, int64](Config{RebuildBudgetPerEpoch: 128}, nil)
 	tr.EnablePublish()
 	tr.PublishVersion()
 
@@ -228,10 +216,13 @@ func TestAsyncRebuildWithSnapshotReaders(t *testing.T) {
 
 	// Small key span + small batches force heavy leaf churn and many
 	// subtree retirements, cycling the grace ring while readers hold
-	// pins; the async drain splices mid-churn.
-	applyScript(t, tr, schedScript(99, 250, 128), true, 128)
-	drainAsync(t, tr)
+	// pins; the post-publish drains splice mid-churn.
+	_, drains := applyScript(t, tr, schedScript(99, 250, 128), true, 128)
+	settleDebt(tr)
 	close(stop)
 	wg.Wait()
+	if drains == 0 {
+		t.Fatal("no post-publish drain rebuilt anything; splice path not exercised")
+	}
 	checkInvariants(t, tr)
 }

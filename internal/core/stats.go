@@ -31,16 +31,12 @@ type Stats struct {
 	// the leafslack experiment.
 	LeafGrows int64
 
-	// Rebuild-scheduler counters (sched.go); all zero without
-	// Config.RebuildBudgetPerEpoch. DebtKeys is the outstanding
+	// Rebuild-scheduler counters (sched.go); both zero unless
+	// Config.RebuildBudgetPerEpoch is set. DebtKeys is the outstanding
 	// rebuild debt (a gauge); DeferredKeys the cumulative rebuild keys
-	// whose work was deferred past its triggering epoch; AsyncRebuilds
-	// the background rebuilds launched; SpliceRetries the async
-	// splices abandoned because the subtree changed mid-build.
-	DebtKeys      int64
-	DeferredKeys  int64
-	AsyncRebuilds int64
-	SpliceRetries int64
+	// whose work was deferred past its triggering epoch.
+	DebtKeys     int64
+	DeferredKeys int64
 }
 
 // Stats computes shape statistics in one O(n) traversal and snapshots
@@ -55,12 +51,8 @@ func (t *Tree[K, V]) Stats() Stats {
 	s.ChunkBuilds = t.ar.chunkBuilds.Load()
 	s.ChunkKeys = t.ar.chunkKeys.Load()
 	s.LeafGrows = t.ar.leafGrows.Load()
-	if sc := t.sched; sc != nil {
-		s.DebtKeys = sc.c.debtKeys.Load()
-		s.DeferredKeys = sc.c.deferredKeys.Load()
-		s.AsyncRebuilds = sc.c.asyncRuns.Load()
-		s.SpliceRetries = sc.c.spliceRetries.Load()
-	}
+	s.DebtKeys = t.sched.c.debtKeys.Load()
+	s.DeferredKeys = t.sched.c.deferredKeys.Load()
 	return s
 }
 

@@ -42,10 +42,11 @@ type EpochTrace struct {
 	Ops   int
 	Keys  int
 	Sized bool
-	// RebuildKeys is the rebuild work the epoch spent under its budget,
-	// in keys laid down; RebuildDebt is the deferred rebuild debt still
-	// outstanding when the epoch closed. Both are zero unless the engine
-	// runs a bounded rebuild scheduler.
+	// RebuildKeys is the rebuild work the epoch spent, in keys laid
+	// down — under a rebuild budget, the figure the budget caps;
+	// RebuildDebt is the deferred rebuild debt still outstanding when
+	// the epoch closed, zero unless a budget is set. Both are zero on
+	// an engine without a rebuild scheduler.
 	RebuildKeys int
 	RebuildDebt int
 

@@ -34,11 +34,10 @@ type ConcurrentOptions struct {
 
 func (o ConcurrentOptions) combineOptions() combine.Options {
 	return combine.Options{
-		MaxBatch:      o.MaxBatch,
-		MaxWait:       o.MaxWait,
-		NoBufferReuse: o.ReuseBuffers == ReuseOff,
-		Metrics:       o.Metrics,
-		TraceDepth:    o.TraceDepth,
+		MaxBatch:   o.MaxBatch,
+		MaxWait:    o.MaxWait,
+		Metrics:    o.Metrics,
+		TraceDepth: o.TraceDepth,
 	}
 }
 

@@ -52,6 +52,13 @@
 // occurrence). Callers that can guarantee sorted duplicate-free
 // batches set Options.AssumeSorted to skip normalization.
 //
+// Slices passed in are never retained (keys and values are copied
+// into tree-owned storage), and slices handed out (Keys, Items, Range,
+// batch results) are always freshly allocated. Internal temporaries
+// are recycled through a per-tree scratch arena, so steady-state
+// batches allocate almost nothing; recycled buffers may briefly hold
+// copies of removed values until their next reuse.
+//
 // # Concurrency model
 //
 // Tree and Map are NOT safe for concurrent use: the parallel-batched
@@ -117,17 +124,16 @@
 // the tail a latency-sensitive service notices. Setting
 // Options.RebuildBudgetPerEpoch caps the keys of rebuild work any one
 // batch (or combining epoch) spends; over-budget subtrees are
-// recorded as debt and repaid by later epochs, largest debt first.
-// Options.AsyncRebuild additionally moves repayment off the epoch
-// path under the combining frontends: the indebted subtree is rebuilt
-// from the last published version by a background goroutine while
-// readers keep using the old shape, and spliced in at a later epoch
-// boundary. Deferral trades peak latency for a transiently
-// less-balanced tree — reads of an indebted subtree pay the same
+// recorded as debt and repaid by later epochs, largest debt first, as
+// far as each epoch's budget reaches. Eager is simply the
+// unlimited-budget case of the same path. Deferral trades peak latency
+// for a less-balanced tree — reads of an indebted subtree pay the same
 // degraded (still-correct) cost they already paid between threshold
-// and rebuild. Stats reports outstanding debt, and epoch traces
-// carry per-epoch rebuild spend; see ARCHITECTURE.md's "Rebuild
-// scheduling" section.
+// and rebuild — and a subtree larger than the whole budget is never
+// rebuilt at all, so the budget must exceed the subtrees whose
+// balance matters (or stay unset). Stats reports outstanding debt, and
+// epoch traces carry per-epoch rebuild spend; see ARCHITECTURE.md's
+// "Rebuild scheduling" section.
 //
 // # Observability
 //
@@ -181,18 +187,11 @@ type Options struct {
 	// does not fit the remaining budget are deferred as debt and
 	// repaid by later epochs, largest debt first, so a single O(n)
 	// root rebuild no longer lands in one victim operation's latency.
-	// 0 (the default) keeps the paper's eager behavior: every due
-	// rebuild runs inline in the triggering batch.
+	// A subtree larger than the budget is never rebuilt, so its shape
+	// degrades until the budget is raised. 0 (the default) keeps the
+	// paper's eager behavior: every due rebuild runs inline in the
+	// triggering batch.
 	RebuildBudgetPerEpoch int
-	// AsyncRebuild moves deferred rebuild debt off the epoch path
-	// entirely: a background goroutine rebuilds the most indebted
-	// subtree from the last published version while readers and the
-	// combiner keep serving it, and the result is spliced in at a
-	// later epoch boundary (or abandoned, if the subtree changed
-	// mid-build). Effective only under the combining frontends
-	// (Concurrent, Sharded) with RebuildBudgetPerEpoch set; Tree and
-	// Map ignore it because they publish no versions to rebuild from.
-	AsyncRebuild bool
 	// LeafSlack scales the headroom a leaf merge reallocates with:
 	// a leaf outgrowing its array is regrown to n·LeafSlack so nearby
 	// future inserts merge in place. Values < 1 select the default
@@ -211,24 +210,6 @@ type Options struct {
 	// Results are undefined if the promise is broken; use only on
 	// trusted input paths.
 	AssumeSorted bool
-	// ReuseBuffers controls the tree-owned scratch arena that recycles
-	// internal temporaries (position buffers, membership side arrays,
-	// flatten/merge buffers) across batched operations and rebuilds.
-	// The default, ReuseOn, is what makes steady-state batches nearly
-	// allocation-free; ReuseOff allocates every temporary fresh, for
-	// allocation profiling and differential testing. Results are
-	// identical either way.
-	//
-	// Aliasing guarantees are unaffected by the setting: slices passed
-	// in are never retained (bulk loads and batched writes copy keys
-	// and values into tree-owned chunk storage at the construction
-	// boundary), and slices handed out (Keys, Items, Range, batch
-	// results) are always freshly allocated, never recycled ones. The
-	// arena only circulates buffers the tree itself created. Recycled
-	// buffers may briefly retain copies of removed values until their
-	// next reuse; set ReuseOff if even bounded retention of value
-	// memory matters.
-	ReuseBuffers ReuseMode
 	// Metrics attaches the engine to an observability registry:
 	// rebuild events, arena retention and hit rates, combining epoch
 	// phases, and client-observed latency all record into it, and the
@@ -240,27 +221,13 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// ReuseMode selects a buffer-recycling policy for Options.ReuseBuffers.
-type ReuseMode int8
-
-const (
-	// ReuseDefault is the zero value and behaves like ReuseOn.
-	ReuseDefault ReuseMode = iota
-	// ReuseOn recycles internal scratch buffers (the default).
-	ReuseOn
-	// ReuseOff allocates every internal temporary fresh.
-	ReuseOff
-)
-
 func (o Options) coreConfig() core.Config {
 	cfg := core.Config{
 		LeafCap:               o.LeafCap,
 		RebuildFactor:         o.RebuildFactor,
 		RebuildBudgetPerEpoch: o.RebuildBudgetPerEpoch,
-		AsyncRebuild:          o.AsyncRebuild,
 		LeafSlack:             o.LeafSlack,
 		IndexSizeFactor:       o.IndexSizeFactor,
-		DisableBufferReuse:    o.ReuseBuffers == ReuseOff,
 		Metrics:               o.Metrics,
 	}
 	if o.RankTraversal {
@@ -360,8 +327,6 @@ func (vw *view[K, V]) Stats() Stats {
 		LeafGrows:     s.LeafGrows,
 		DebtKeys:      s.DebtKeys,
 		DeferredKeys:  s.DeferredKeys,
-		AsyncRebuilds: s.AsyncRebuilds,
-		SpliceRetries: s.SpliceRetries,
 	}
 }
 
@@ -538,7 +503,7 @@ func (tr *Tree[K]) Ascend(lo, hi K) iter.Seq[K] {
 }
 
 // Stats summarizes the structure of a Tree or Map, plus the arena
-// counters of the memory subsystem (see Options.ReuseBuffers).
+// counters of the memory subsystem.
 type Stats struct {
 	LiveKeys   int // keys logically stored
 	DeadKeys   int // logically removed keys awaiting a rebuild
@@ -551,8 +516,7 @@ type Stats struct {
 
 	// ScratchGets counts internal scratch-buffer requests since
 	// construction and ScratchReuses how many were served by a
-	// recycled buffer; their ratio is the arena hit rate (0 under
-	// ReuseOff). ChunkBuilds counts chunked subtree (re)builds and
+	// recycled buffer; their ratio is the arena hit rate. ChunkBuilds counts chunked subtree (re)builds and
 	// ChunkKeys the key slots those builds laid out contiguously.
 	ScratchGets   int64
 	ScratchReuses int64
@@ -563,15 +527,10 @@ type Stats struct {
 	// reallocated with Options.LeafSlack headroom.
 	LeafGrows int64
 
-	// Rebuild-scheduler counters; all zero unless
+	// Rebuild-scheduler counters; both zero unless
 	// Options.RebuildBudgetPerEpoch is set. DebtKeys is the rebuild
 	// debt currently outstanding (a gauge, in keys); DeferredKeys the
-	// cumulative rebuild keys deferred past their triggering epoch;
-	// AsyncRebuilds the background rebuilds launched under
-	// Options.AsyncRebuild; SpliceRetries the async rebuilds abandoned
-	// because the subtree changed while it was being rebuilt.
-	DebtKeys      int64
-	DeferredKeys  int64
-	AsyncRebuilds int64
-	SpliceRetries int64
+	// cumulative rebuild keys deferred past their triggering epoch.
+	DebtKeys     int64
+	DeferredKeys int64
 }

@@ -68,20 +68,17 @@ func checkAgainstOracle(t *testing.T, c *pbist.Concurrent[int64, int64], oracle 
 // frontend: with a rebuild budget set, no combining epoch spends more
 // than the cap in rebuild keys — checked against the epoch traces the
 // combiner records — and write-heavy churn actually exercises the
-// deferral path (some epoch reports outstanding debt).
+// deferral path (some epoch reports outstanding debt). Eager epochs
+// run the same path with no cap: they report the rebuild work they
+// spent and never any debt.
 func TestConcurrentRebuildBudgetTrace(t *testing.T) {
-	const budget = 256
-	for _, async := range []bool{false, true} {
-		name := "bounded-sync"
-		if async {
-			name = "async"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int
+	}{{"bounded-sync", 256}, {"eager", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
 			c := pbist.NewConcurrent[int64, int64](pbist.ConcurrentOptions{
-				Options: pbist.Options{
-					RebuildBudgetPerEpoch: budget,
-					AsyncRebuild:          async,
-				},
+				Options:    pbist.Options{RebuildBudgetPerEpoch: tc.budget},
 				TraceDepth: 4096,
 			})
 			defer c.Close()
@@ -94,8 +91,8 @@ func TestConcurrentRebuildBudgetTrace(t *testing.T) {
 			}
 			sawSpend, sawDebt := false, false
 			for _, tr := range traces {
-				if tr.RebuildKeys > budget {
-					t.Fatalf("epoch %d spent %d rebuild keys, budget %d", tr.Seq, tr.RebuildKeys, budget)
+				if tc.budget > 0 && tr.RebuildKeys > tc.budget {
+					t.Fatalf("epoch %d spent %d rebuild keys, budget %d", tr.Seq, tr.RebuildKeys, tc.budget)
 				}
 				if tr.RebuildKeys > 0 {
 					sawSpend = true
@@ -107,33 +104,34 @@ func TestConcurrentRebuildBudgetTrace(t *testing.T) {
 			if !sawSpend {
 				t.Fatal("no epoch spent rebuild work; churn too light for the test to mean anything")
 			}
-			if !sawDebt {
-				t.Fatal("no epoch reported rebuild debt; deferral path not exercised")
+			if wantDebt := tc.budget > 0; sawDebt != wantDebt {
+				t.Fatalf("epoch traces report debt = %v, want %v", sawDebt, wantDebt)
 			}
 			checkAgainstOracle(t, c, oracle)
 		})
 	}
 }
 
-// TestConcurrentAsyncRebuildClose races Close against in-flight
-// background rebuilds: churn heavy enough to keep async jobs in the
-// air, then close mid-flight. A snapshot taken before Close must stay
-// fully readable after it (version readers survive Close), and under
-// -race the abandoned worker must not trip the detector.
-func TestConcurrentAsyncRebuildClose(t *testing.T) {
+// TestConcurrentRebuildDebtClose closes a frontend while rebuild debt
+// is outstanding: with a budget far below the tree size the root's
+// rebuild can never be repaid, so every Close lands on live debt. A
+// snapshot taken before Close must stay fully readable after it
+// (version readers survive Close).
+func TestConcurrentRebuildDebtClose(t *testing.T) {
 	rounds := 8
 	if testing.Short() {
 		rounds = 3
 	}
 	for round := 0; round < rounds; round++ {
 		c := pbist.NewConcurrent[int64, int64](pbist.ConcurrentOptions{
-			Options: pbist.Options{
-				RebuildBudgetPerEpoch: 64,
-				AsyncRebuild:          true,
-			},
+			Options:    pbist.Options{RebuildBudgetPerEpoch: 64},
+			TraceDepth: 1,
 		})
 		oracle := schedChurn(t, c, 4, 1500)
 		snap := c.Snapshot()
+		if tr := c.Trace(1); len(tr) != 1 || tr[0].RebuildDebt == 0 {
+			t.Fatalf("round %d: no rebuild debt outstanding before Close: %+v", round, tr)
+		}
 		c.Close()
 
 		keys := snap.Keys()

@@ -186,10 +186,9 @@ func newSharded[K Key, V any](opts ShardedOptions, p shard.Partitioner[K], keys 
 		opts:  opts,
 		obs:   shard.NewObs(opts.Metrics),
 	}
-	reuseOff := opts.ReuseBuffers == ReuseOff
 	if !opts.PrivateArenas {
-		s.arena = core.NewSharedArena[K, V](reuseOff)
-		s.cscr = combine.NewScratch[K, V](reuseOff)
+		s.arena = core.NewSharedArena[K, V]()
+		s.cscr = combine.NewScratch[K, V]()
 	}
 	if opts.PointFilter {
 		s.filters = make([]*shard.Bloom, p.N())
