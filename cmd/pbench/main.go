@@ -263,7 +263,7 @@ func runReadScale(w bench.Workload, clients []int, reps int) ([]string, [][]stri
 func runLatency(w bench.Workload, clients, shards int, rateKops float64, reps int) ([]string, [][]string) {
 	rows := bench.RunLatencyWorkload(w, clients, shards, rateKops, reps)
 	header := []string{"frontend", "dist", "clients", "offered_kops", "achieved_kops",
-		"mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us"}
+		"mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us", "late_p50_us", "late_p99_us"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -276,6 +276,8 @@ func runLatency(w bench.Workload, clients, shards int, rateKops float64, reps in
 			fmt.Sprintf("%.1f", r.P99US),
 			fmt.Sprintf("%.1f", r.P999US),
 			fmt.Sprintf("%.1f", r.MaxUS),
+			fmt.Sprintf("%.1f", r.LateP50US),
+			fmt.Sprintf("%.1f", r.LateP99US),
 		})
 	}
 	return header, cells
@@ -285,7 +287,7 @@ func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps, budg
 	rows := bench.RunRebuildSched(w, clients, rateKops, reps, budget)
 	header := []string{"mode", "dist", "budget", "clients", "offered_kops", "achieved_kops",
 		"mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us",
-		"max_epoch_rebuild_keys", "peak_rebuild_debt"}
+		"late_p50_us", "late_p99_us", "max_epoch_rebuild_keys", "peak_rebuild_debt"}
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -298,6 +300,8 @@ func runRebuildSched(w bench.Workload, clients int, rateKops float64, reps, budg
 			fmt.Sprintf("%.1f", r.P99US),
 			fmt.Sprintf("%.1f", r.P999US),
 			fmt.Sprintf("%.1f", r.MaxUS),
+			fmt.Sprintf("%.1f", r.LateP50US),
+			fmt.Sprintf("%.1f", r.LateP99US),
 			strconv.Itoa(r.MaxEpochRebuildKeys),
 			strconv.Itoa(r.PeakRebuildDebt),
 		})

@@ -28,6 +28,8 @@ type RebuildSchedRow struct {
 	P99US        float64
 	P999US       float64
 	MaxUS        float64
+	LateP50US    float64 // client wake-up lateness, excluded above
+	LateP99US    float64
 	// MaxEpochRebuildKeys is the largest per-epoch rebuild spend any
 	// recorded epoch trace reports — under a budget, the empirical
 	// witness that the cap held; under eager, the largest inline
@@ -97,10 +99,10 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 			},
 			TraceDepth: 1 << 15,
 		}, base, baseVals)
-		h := obs.NewHistogram()
+		h, late := obs.NewHistogram(), obs.NewHistogram()
 		var total time.Duration
 		for rep := 0; rep < reps; rep++ {
-			total += replayOpenLoop(scripts[rep], interval, h,
+			total += replayOpenLoop(scripts[rep], interval, h, late,
 				func(k int64) { c.Get(k) },
 				func(k int64, v uint64) { c.Put(k, v) },
 				func(k int64) { c.Delete(k) })
@@ -117,7 +119,7 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 		c.Close()
 
 		lr := latencyRowFrom("concurrent", distName, clients, rateKops,
-			ops, total/time.Duration(reps), h.Snapshot())
+			ops, total/time.Duration(reps), h.Snapshot(), late.Snapshot())
 		rows = append(rows, RebuildSchedRow{
 			Mode:                m.name,
 			Dist:                distName,
@@ -131,6 +133,8 @@ func RunRebuildSched(w Workload, clients int, rateKops float64, reps, budget int
 			P99US:               lr.P99US,
 			P999US:              lr.P999US,
 			MaxUS:               lr.MaxUS,
+			LateP50US:           lr.LateP50US,
+			LateP99US:           lr.LateP99US,
 			MaxEpochRebuildKeys: maxSpend,
 			PeakRebuildDebt:     peakDebt,
 		})

@@ -17,6 +17,8 @@
 // quoted in §3.5.
 package iindex
 
+import "math"
+
 // Numeric is the constraint for interpolatable keys: types with a
 // total order and an order-preserving conversion to float64. The
 // conversion is what lets the index map a key to a bucket with one
@@ -60,13 +62,14 @@ func Build[K Numeric](rep []K, sizeFactor float64) Index {
 		sizeFactor = DefaultSizeFactor
 	}
 	a, b := float64(rep[0]), float64(rep[k-1])
-	if !(b > a) {
-		// Zero (or NaN) value range: interpolation cannot discriminate.
-		return Index{}
-	}
 	m := int(float64(k) * sizeFactor)
 	if m < 2 {
 		m = 2
+	}
+	if span := b - a; !(span > 0 && span <= math.MaxFloat64 && float64(m)/span <= math.MaxFloat64) {
+		// Zero, NaN or infinite value range (±Inf keys), or one so
+		// small the scale overflows: interpolation cannot discriminate.
+		return Index{}
 	}
 	id := make([]int32, m+1)
 	width := (b - a) / float64(m)
@@ -94,11 +97,13 @@ func (ix *Index) Approx(xf float64) int {
 	if xf <= ix.a {
 		return 0
 	}
-	bucket := int((xf - ix.a) * ix.scale)
-	if bucket >= len(ix.id) {
-		bucket = len(ix.id) - 1
+	// Clamp before converting: for xf = +Inf the product is +Inf,
+	// which has no int value.
+	f := (xf - ix.a) * ix.scale
+	if last := len(ix.id) - 1; f >= float64(last) {
+		return int(ix.id[last])
 	}
-	return int(ix.id[bucket])
+	return int(ix.id[int(f)])
 }
 
 // Buckets reports the number of buckets (m) of the index; 0 for the
@@ -170,7 +175,10 @@ func InterpolationSearch[K Numeric](rep []K, x K) (pos int, found bool) {
 	for probes := 0; hi-lo > 8 && probes < maxWalk; probes++ {
 		lov, hiv := float64(rep[lo]), float64(rep[hi-1])
 		xf := float64(x)
-		if xf <= lov {
+		// Only strict float comparisons decide: distinct keys above
+		// 2⁵³ can round to one float64, so xf == lov says nothing
+		// about x against rep[lo].
+		if xf < lov {
 			hi = lo + 1
 			break
 		}

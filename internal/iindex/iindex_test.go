@@ -279,3 +279,62 @@ func TestInterpolationSearchQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFindUnscalableSpans covers value ranges interpolation cannot
+// scale: infinite keys, a finite span that overflows, and a denormal
+// span whose scale overflows. Each builds the degenerate index, and
+// every query — +Inf included — still resolves exactly.
+func TestFindUnscalableSpans(t *testing.T) {
+	inf := math.Inf(1)
+	reps := [][]float64{
+		{-inf, -1, 0, 2, 3},
+		{0, 1, 2, 3, inf},
+		{-inf, inf},
+		{-math.MaxFloat64, 0, math.MaxFloat64},
+		{0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64},
+	}
+	for _, rep := range reps {
+		ix := Build(rep, 0)
+		if ix.Buckets() != 0 {
+			t.Errorf("%v: want the degenerate index, got %d buckets", rep, ix.Buckets())
+		}
+		queries := append(slices.Clone(rep), -inf, inf, -2, 0.5, 1e300)
+		for _, x := range queries {
+			want, wantOK := slices.BinarySearch(rep, x)
+			if pos, ok := Find(rep, &ix, x); pos != want || ok != wantOK {
+				t.Errorf("%v: Find(%v) = %d,%v, want %d,%v", rep, x, pos, ok, want, wantOK)
+			}
+		}
+	}
+	// A finite index queried with +Inf clamps to the last bucket.
+	rep := []float64{1, 2, 3, 4, 5}
+	ix := Build(rep, 0)
+	if pos, ok := Find(rep, &ix, inf); pos != len(rep) || ok {
+		t.Errorf("Find(+Inf) = %d,%v, want %d,false", pos, ok, len(rep))
+	}
+}
+
+// TestSearchRoundedKeys checks both searches on uint64 keys above 2⁵³,
+// where neighbouring keys round to the same float64: equal floats must
+// never decide an ordering the keys themselves do not have.
+func TestSearchRoundedKeys(t *testing.T) {
+	var rep []uint64
+	for i := range uint64(200) {
+		rep = append(rep, math.MaxUint64-4096*(i/7)-i%7)
+	}
+	slices.Sort(rep)
+	rep = slices.Compact(rep)
+	ix := Build(rep, 0)
+	for _, x := range append(slices.Clone(rep), rep[0]-1, rep[3]+1, math.MaxUint64) {
+		want, wantOK := slices.BinarySearch(rep, x)
+		if pos, ok := Find(rep, &ix, x); pos != want || ok != wantOK {
+			t.Errorf("Find(%d) = %d,%v, want %d,%v", x, pos, ok, want, wantOK)
+		}
+		for _, w := range []int{8, 16, len(rep)} {
+			want, wantOK := slices.BinarySearch(rep[:w], x)
+			if pos, ok := InterpolationSearch(rep[:w], x); pos != want || ok != wantOK {
+				t.Errorf("InterpolationSearch(rep[:%d], %d) = %d,%v, want %d,%v", w, x, pos, ok, want, wantOK)
+			}
+		}
+	}
+}

@@ -2,10 +2,8 @@ package pbist
 
 import (
 	"iter"
-	"slices"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 )
 
 // Map is the map view: a parallel-batched interpolation search tree
@@ -57,45 +55,25 @@ func NewMapFromItems[K Key, V any](opts Options, keys []K, vals []V) *Map[K, V] 
 // passing pre-sorted input through unaliased is safe because the core
 // never retains a batch slice.
 //
-// Unlike the set view's key-only normalization, the pair sort is a
-// sequential index sort (a parallel stable pair sort is not worth its
-// complexity here): hot paths feeding large unsorted upsert batches
-// should pre-sort and set Options.AssumeSorted, which skips this
-// entirely.
+// Unsorted input takes one interpolation sort of (key, position)
+// pairs on the pool — expected O(m) work on smooth keys, O(m log m)
+// at worst — and every run of equal keys keeps its last position, the
+// occurrence PutBatch semantics keep.
 func (m *Map[K, V]) normalizePairs(keys []K, vals []V) ([]K, []V) {
 	if m.assumeSorted || isSortedUnique(keys) {
 		return keys, vals
 	}
-	// Stable-sort a permutation by key: within a run of equal keys the
-	// original order survives, so the last element of the run is the
-	// last occurrence in the input — the one PutBatch semantics keep.
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case keys[a] < keys[b]:
-			return -1
-		case keys[b] < keys[a]:
-			return 1
-		default:
-			return 0
+	b := sortBatch(m.pool, keys)
+	outV := make([]V, len(b.keys))
+	b.each(m.pool, func(lo, hi, d int) {
+		for i := lo; i < hi; i++ {
+			if b.runEnd(i) {
+				outV[d] = vals[b.pairs[i].Pos]
+				d++
+			}
 		}
 	})
-	outK := make([]K, 0, len(keys))
-	outV := make([]V, 0, len(vals))
-	for i := 0; i < len(idx); {
-		j := i + 1
-		for j < len(idx) && keys[idx[j]] == keys[idx[i]] {
-			j++
-		}
-		last := idx[j-1] // last original position of this key run
-		outK = append(outK, keys[last])
-		outV = append(outV, vals[last])
-		i = j
-	}
-	return outK, outV
+	return b.keys, outV
 }
 
 // Clone returns a deep, fully detached copy of the map: one parallel
@@ -136,18 +114,9 @@ func (m *Map[K, V]) GetBatch(keys []K) (vals []V, found []bool) {
 	if m.assumeSorted || isSortedUnique(keys) {
 		return m.t.GetBatched(keys)
 	}
-	// Query the sorted unique view, then scatter answers back to the
-	// caller's positions.
-	sorted := parallel.SortedDedup(m.pool, slices.Clone(keys))
-	svals, sfound := m.t.GetBatched(sorted)
-	vals = make([]V, len(keys))
-	found = make([]bool, len(keys))
-	parallel.For(m.pool, len(keys), 0, func(i int) {
-		j, _ := slices.BinarySearch(sorted, keys[i])
-		vals[i] = svals[j]
-		found[i] = sfound[j]
-	})
-	return vals, found
+	b := sortBatch(m.pool, keys)
+	svals, sfound := m.t.GetBatched(b.keys)
+	return scatter(m.pool, &b, svals), scatter(m.pool, &b, sfound)
 }
 
 // PutBatch upserts every (keys[i], vals[i]) pair in one batched

@@ -49,8 +49,13 @@
 // sorted and duplicated keys are coalesced internally (ContainsBatch
 // and GetBatch still answer positionally for every input element, and
 // PutBatch resolves duplicate keys in one batch to the last
-// occurrence). Callers that can guarantee sorted duplicate-free
-// batches set Options.AssumeSorted to skip normalization.
+// occurrence). Normalization is one interpolation sort of the batch's
+// (key, position) pairs on the worker pool: expected O(m) work for m
+// smooth keys — the same assumption the tree's O(m·log log n) bound
+// makes — and O(m log m) at worst, with answers routed back to input
+// positions in O(1) per key. Already sorted duplicate-free batches are
+// detected and used as they are; callers that can guarantee that
+// shape set Options.AssumeSorted to skip even the check.
 //
 // Slices passed in are never retained (keys and values are copied
 // into tree-owned storage), and slices handed out (Keys, Items, Range,
@@ -153,7 +158,6 @@ package pbist
 import (
 	"iter"
 	"runtime"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/parallel"
@@ -161,7 +165,9 @@ import (
 
 // Key is the constraint on tree keys: ordered types with an
 // order-preserving conversion to float64, which interpolation search
-// needs to estimate positions numerically.
+// needs to estimate positions numerically. For float keys −0 and +0
+// are one key, and NaN keys are outside the contract: NaN is not
+// ordered.
 type Key interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
@@ -206,9 +212,11 @@ type Options struct {
 	// faster on smooth inputs; ranking is distribution-insensitive.
 	RankTraversal bool
 	// AssumeSorted promises that every batch passed to the tree is
-	// already sorted and duplicate-free, skipping normalization.
-	// Results are undefined if the promise is broken; use only on
-	// trusted input paths.
+	// already sorted and duplicate-free, skipping normalization and
+	// the O(m) check that detects such batches. Without it, unsorted
+	// batches take an interpolation sort: expected O(m) on smooth
+	// keys, O(m log m) at worst. Results are undefined if the promise
+	// is broken; use only on trusted input paths.
 	AssumeSorted bool
 	// Metrics attaches the engine to an observability registry:
 	// rebuild events, arena retention and hit rates, combining epoch
@@ -273,16 +281,8 @@ func (vw *view[K, V]) ContainsBatch(keys []K) []bool {
 	if vw.assumeSorted || isSortedUnique(keys) {
 		return vw.t.ContainsBatched(keys)
 	}
-	// Query the sorted unique view, then scatter answers back to the
-	// caller's positions.
-	sorted := parallel.SortedDedup(vw.pool, slices.Clone(keys))
-	hits := vw.t.ContainsBatched(sorted)
-	out := make([]bool, len(keys))
-	parallel.For(vw.pool, len(keys), 0, func(i int) {
-		j, _ := slices.BinarySearch(sorted, keys[i])
-		out[i] = hits[j]
-	})
-	return out
+	b := sortBatch(vw.pool, keys)
+	return scatter(vw.pool, &b, vw.t.ContainsBatched(b.keys))
 }
 
 // CountRange reports how many keys lie in [lo, hi] without
@@ -345,8 +345,90 @@ func (vw *view[K, V]) normalize(keys []K) []K {
 	if vw.assumeSorted || isSortedUnique(keys) {
 		return keys
 	}
-	cp := slices.Clone(keys)
-	return parallel.SortedDedup(vw.pool, cp)
+	return sortBatch(vw.pool, keys).keys
+}
+
+// batchOrder is an unsorted batch arranged for the core: its (key,
+// position) pairs in ascending key order, equal keys by position, and
+// its distinct keys, one per run of equal pairs. The pairs are cut
+// into blocks of bs that the pool walks in parallel; starts[b] is the
+// index in keys of the run block b's first pair belongs to.
+type batchOrder[K Key] struct {
+	pairs  []parallel.KeyPos[K]
+	keys   []K
+	bs     int
+	starts []int
+}
+
+// sortBatch arranges keys with one interpolation sort — expected O(m)
+// work on smooth keys, O(m log m) in the worst case (see
+// parallel.InterpolationSort) — and collects the distinct keys.
+func sortBatch[K Key](p *parallel.Pool, keys []K) batchOrder[K] {
+	b := batchOrder[K]{pairs: parallel.InterpolationSort(p, keys)}
+	n := len(b.pairs)
+	blocks := max(1, min(4*p.Workers(), n/parallel.DefaultGrain))
+	b.bs = (n + blocks - 1) / blocks
+	b.starts = make([]int, blocks+1)
+	if b.pairs[0].Key == b.pairs[n-1].Key {
+		// One distinct key: every block starts in its run.
+		b.keys = []K{b.pairs[n-1].Key}
+		b.starts[blocks] = 1
+		return b
+	}
+	// Count the runs ending in every block, scan, then write each
+	// block's distinct keys at its offset.
+	parallel.For(p, blocks, 1, func(blk int) {
+		c := 0
+		for i := blk * b.bs; i < min((blk+1)*b.bs, n); i++ {
+			if b.runEnd(i) {
+				c++
+			}
+		}
+		b.starts[blk+1] = c
+	})
+	for i := range blocks {
+		b.starts[i+1] += b.starts[i]
+	}
+	b.keys = make([]K, b.starts[blocks])
+	b.each(p, func(lo, hi, d int) {
+		for i := lo; i < hi; i++ {
+			if b.runEnd(i) {
+				b.keys[d] = b.pairs[i].Key
+				d++
+			}
+		}
+	})
+	return b
+}
+
+// runEnd reports whether pair i is the last of its run of equal keys.
+func (b *batchOrder[K]) runEnd(i int) bool {
+	return i == len(b.pairs)-1 || b.pairs[i].Key != b.pairs[i+1].Key
+}
+
+// each calls visit for every block, in parallel, with the block's
+// pair range [lo, hi) and the index in keys of its first pair's run.
+func (b *batchOrder[K]) each(p *parallel.Pool, visit func(lo, hi, d int)) {
+	n := len(b.pairs)
+	parallel.For(p, len(b.starts)-1, 1, func(blk int) {
+		visit(blk*b.bs, min((blk+1)*b.bs, n), b.starts[blk])
+	})
+}
+
+// scatter expands ans, one answer per distinct key, to the batch's
+// input positions: every occurrence of the d-th distinct key gets
+// ans[d], at O(1) per key.
+func scatter[K Key, T any](p *parallel.Pool, b *batchOrder[K], ans []T) []T {
+	out := make([]T, len(b.pairs))
+	b.each(p, func(lo, hi, d int) {
+		for i := lo; i < hi; i++ {
+			out[b.pairs[i].Pos] = ans[d]
+			if b.runEnd(i) {
+				d++
+			}
+		}
+	})
+	return out
 }
 
 // removeBatch deletes every element of keys, returning how many were
