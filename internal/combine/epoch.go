@@ -24,7 +24,9 @@ type event[K cmp.Ordered] struct {
 // state of every distinct key with at most one batched read traversal,
 // replays each key's events in linearization order to fill per-op
 // results, and applies the surviving last-wins writes with at most one
-// PutBatched and one RemoveBatched traversal. keyCount and sized feed
+// PutBatched and one RemoveBatched call. Each of those is a single tree
+// traversal (core folds the membership filter into the write), so an
+// epoch walks the tree at most three times. keyCount and sized feed
 // the statistics.
 //
 //pbist:combiner

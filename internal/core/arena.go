@@ -11,11 +11,11 @@ import (
 // treeArena is the tree-owned memory pool: one recycled-scratch free
 // list per element type the batched operations need, plus counters for
 // the chunked rebuilds. Every temporary the write and read paths
-// allocate — position buffers, membership side arrays, sub-batch
-// filters, flatten and merge buffers — is drawn from here and returned
-// when the operation that needed it completes, so a tree in steady
-// state stops producing short-lived garbage: retired flatten buffers
-// of one rebuild become the merge buffers of the next.
+// allocate — position buffers, run offsets, flatten buffers, and the
+// set-algebra merge buffers — is drawn from here and returned when the
+// operation that needed it completes, so a tree in steady state stops
+// producing short-lived garbage: the retired flatten buffers of one
+// rebuild become the flatten buffers of the next.
 //
 // The arena is owned by exactly one tree and lives as long as it.
 // Within one batched operation many pool workers Get and Put
@@ -55,7 +55,7 @@ func newTreeArena[K iindex.Numeric, V any](disabled bool) *treeArena[K, V] {
 	return a
 }
 
-// putKV returns a flatten/merge buffer pair.
+// putKV returns a flatten or merge buffer pair.
 //
 //pbist:releases
 func (a *treeArena[K, V]) putKV(ks []K, vs []V) {
@@ -99,7 +99,7 @@ func (a *treeArena[K, V]) retained() (buffers int, elems int64) {
 // sync.Pool, and the chunk counters are atomic, so trees on different
 // goroutines may run batched operations concurrently against one
 // SharedArena. Buffers carry no tree identity — a flatten buffer
-// retired by one tree becomes the merge buffer of another.
+// retired by one tree becomes the flatten buffer of another.
 type SharedArena[K iindex.Numeric, V any] struct {
 	ar *treeArena[K, V]
 }
@@ -121,7 +121,7 @@ func (s *SharedArena[K, V]) Retained() (buffers int, elems int64) {
 // are drawn from the arena's scratch free lists — the very lists
 // drainRetired feeds graced chunks back into — so steady-state epoch
 // rebuilds cycle node storage the same way they already cycle flatten
-// and merge buffers. The arrays are tree-retained until retirement;
+// buffers. The arrays are tree-retained until retirement;
 // that deliberate ownership transfer is the //pbist:owner below.
 // Non-publishing trees keep exact-size allocations: nothing ever
 // retires into their lists, and Get's class-rounded capacity would be

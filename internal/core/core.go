@@ -16,6 +16,17 @@
 // span (§8). Balance and space are maintained by amortized parallel
 // subtree rebuilding (§7).
 //
+// The paper describes a batched write as a Contains traversal that
+// filters the batch, then a modifying traversal. Here each write is one
+// traversal (write.go): every key acts where it lands — overwrite,
+// revive, or kill a Rep slot, or merge into a leaf — and each subtree
+// returns the exact number of structural modifications below it, so
+// the §7.1 accounting runs as the children return instead of before
+// they are visited. A subtree whose rebuild trigger fires reports
+// upward and is rebuilt, from its already-modified contents, only if
+// no ancestor fires too; the rebuilt subtrees are therefore exactly
+// those of the filter-first order, with the same ideal layouts.
+//
 // Node storage is chunked: a rebuilt subtree lays the rep/vals/exists
 // arrays of all its nodes into three contiguous backing arrays
 // (internal/arena.Chunk) that the nodes slice into at deterministic
@@ -24,9 +35,9 @@
 // node, and sibling leaves end up adjacent in memory — the
 // cache-friendly layout interpolation search trees are designed
 // around. Every temporary a batched operation needs (position buffers,
-// membership side arrays, flatten/merge buffers) is drawn from a
-// tree-owned recycled-scratch arena and returned when the operation
-// completes, so steady-state batches allocate almost nothing; see
+// membership side arrays, flatten buffers) is drawn from a tree-owned
+// recycled-scratch arena and returned when the operation completes, so
+// steady-state batches allocate almost nothing; see
 // Config.DisableBufferReuse for the escape hatch.
 //
 // The paper evaluates a sorted set; the set is the V = struct{}

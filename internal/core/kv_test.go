@@ -83,8 +83,8 @@ func TestGetBatchedAbsentAndDead(t *testing.T) {
 
 // TestMapDifferentialWithRebuilds drives the KV tree through a churn
 // profile aggressive enough to exercise every rebuild path (flatten +
-// MergeKV / DifferenceKV + buildIdeal) and checks values never detach
-// from their keys.
+// buildIdeal after puts, revives, and removals) and checks values never
+// detach from their keys.
 func TestMapDifferentialWithRebuilds(t *testing.T) {
 	for name, p := range corePools() {
 		t.Run(name, func(t *testing.T) {

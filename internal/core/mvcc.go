@@ -422,11 +422,10 @@ func (t *Tree[K, V]) owned(v *node[K, V]) *node[K, V] {
 // the same walk (findIndebted) just before, and nothing can change the
 // tree in between — only the owning goroutine mutates it — so the walk
 // reaching anything but target is a broken invariant and panics. The
-// old subtree's chunks retire through the grace ring (readers of
-// published versions may still hold them) and the path down to the
-// splice point is copied for the current generation, so previously
-// published versions stay intact. Owning goroutine only, like every
-// mutating method.
+// old subtree's chunks were already retired by rebuild; the path down
+// to the splice point is copied for the current generation, so
+// previously published versions stay intact. Owning goroutine only,
+// like every mutating method.
 func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) {
 	var nodes []*node[K, V]
 	var slots []int
@@ -443,7 +442,6 @@ func (t *Tree[K, V]) replaceAtKey(key K, target, repl *node[K, V]) {
 	if v != target {
 		panic("core: debt drain lost the subtree it just resolved: the tree changed between findIndebted and the splice")
 	}
-	t.retireSubtree(target)
 	t.dirty = true
 	if len(nodes) == 0 {
 		t.root = repl
@@ -500,7 +498,7 @@ func (t *Tree[K, V]) collectRetired(v *node[K, V], era uint64) {
 // the retirement stamp prove no reader can still reach the chunk, and
 // a born generation later than the durable-snapshot cutoff proves no
 // Snapshot can either. Recycled arrays re-enter the tree arena's
-// scratch free lists — the same pools the flatten/merge buffers cycle
+// scratch free lists — the same pools the flatten buffers cycle
 // through — and chunks a snapshot may still reference are dropped to
 // the GC instead. Combiner-confined.
 func (t *Tree[K, V]) drainRetired() {

@@ -26,8 +26,8 @@ import (
 // larger budget (or none).
 //
 // Concurrency: the heap, the byKey index, and the spent counter are
-// guarded by mu because rebuild triggers fire inside the parallel
-// batch recursion (insertRec/removeRec fan out across pool workers).
+// guarded by mu because fired triggers settle in parallel across
+// sibling subtrees (write.go).
 // Everything else — epoch bracketing and drains — runs on the
 // goroutine that owns the tree (the combiner, in the published setup),
 // like every other mutating method.
@@ -188,13 +188,13 @@ func (s *rebuildSched[K]) peekTop() (debtRec[K], bool) {
 
 // tryReserveRebuild reserves est rebuild keys against the current
 // epoch's budget, reporting whether the rebuild may proceed. The
-// trigger sites compute est exactly — every batch key is pre-filtered
-// live/absent, so an insert rebuild lays down size+k keys and a remove
-// rebuild size−k — which makes the reservation the spend: no refund
-// path, and the per-epoch cap holds under the parallel recursion
-// because check and reserve are one critical section. The comparison
-// is written as est ≤ budget − spent so the unlimited (eager) budget
-// cannot overflow; there every reservation succeeds.
+// callers know est exactly — a trigger settles after the batch has
+// modified the subtree, so est is its live size — which makes the
+// reservation the spend: no refund path, and the per-epoch cap holds
+// under parallel settlement because check and reserve are one
+// critical section. The comparison is written as est ≤ budget − spent
+// so the unlimited (eager) budget cannot overflow; there every
+// reservation succeeds.
 func (t *Tree[K, V]) tryReserveRebuild(est int) bool {
 	s := &t.sched
 	s.mu.Lock()
@@ -206,16 +206,15 @@ func (t *Tree[K, V]) tryReserveRebuild(est int) bool {
 	return ok
 }
 
-// deferRebuild records subtree v as rebuild debt: the trigger fired but
-// the epoch's budget could not cover it, so the mutation proceeds and
-// modCnt runs past the §7.1 budget until a later drain repays it. debt
-// is the modCnt the subtree will have after the triggering batch
-// applies; est is the rebuild size that was deferred (feeds the
-// deferred_keys counter). Called from inside the parallel recursion.
-func (t *Tree[K, V]) deferRebuild(v *node[K, V], k, est int) {
+// deferRebuild records the subtree keyed by key (its root's rep[0]
+// before the triggering batch) as rebuild debt: the trigger fired but
+// the epoch's budget could not cover it, so the subtree keeps its
+// modifications and modCnt runs past the §7.1 budget until a later
+// drain repays it. debt is the subtree's modCnt after the triggering
+// batch; est is the rebuild size that was deferred (feeds the
+// deferred_keys counter). Called from parallel settlement.
+func (t *Tree[K, V]) deferRebuild(key K, debt, est int) {
 	s := &t.sched
-	key := v.rep[0]
-	debt := v.modCnt + k
 	s.mu.Lock()
 	if i, ok := s.byKey[key]; ok {
 		if d := debt - s.heap[i].debt; d > 0 {
@@ -309,15 +308,7 @@ func (t *Tree[K, V]) drainDebt() {
 		case !t.tryReserveRebuild(v.size):
 			return
 		default:
-			// Rebuild v ideally from its live contents — the drain-path
-			// analog of rebuildMerged/rebuildSubtracted, with no batch
-			// riding along.
-			t0 := obsNow(t.obs)
-			flatK, flatV := t.flattenScratch(v)
-			repl := t.labeledBuild(flatK, flatV)
-			t.ar.putKV(flatK, flatV)
-			t.recordRebuild(t0, len(flatK))
-			t.replaceAtKey(rec.key, v, repl)
+			t.replaceAtKey(rec.key, v, t.rebuild(v))
 		}
 	}
 }

@@ -161,206 +161,96 @@ func (t *Tree[K, V]) getSeq(v *node[K, V], keys []K, l, r int, vals []V, found [
 	}
 }
 
-// insertSeq is insertRec on the sequential path.
-func (t *Tree[K, V]) insertSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *scratch, depth int) *node[K, V] {
+// writeSeq is writeRec on the sequential path: positions live in the
+// walker's per-depth buffers, runs are found by a linear scan, and the
+// node is copied lazily, at its first change.
+func (t *Tree[K, V]) writeSeq(op writeOp, v *node[K, V], keys []K, vals []V, l, r int, above bool, sc *scratch, depth int) (*node[K, V], int, fired[K]) {
 	if v == nil {
-		return t.buildIdeal(keys[l:r], vals[l:r])
+		return t.plant(op, keys, vals, l, r)
 	}
-	k := r - l
-	if t.rebuildDue(v, k) {
-		if t.tryReserveRebuild(v.size + k) {
-			root := t.rebuildMerged(v, keys, vals, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size+k) // over budget: debt, not rebuild
-	}
-	v = t.owned(v)
-	v.modCnt += k
-	v.size += k
+	key0 := v.rep[0] // before any leaf merge moves it
 	seg := r - l
 	pf := sc.buf(depth, seg)
 	t.findPositionsSeq(v, keys, l, r, pf)
-	found := 0
+	k := 0
 	for i, p := range pf {
-		if p&1 == 1 {
-			v.exists[p>>1] = true // revive (§6), storing the new value
-			v.vals[p>>1] = vals[l+i]
-			found++
+		if p&1 == 0 {
+			continue
+		}
+		if w, m := op.hit(v.exists[p>>1]); w {
+			v = t.owned(v)
+			setSlot(op, v, int(p>>1), vals, l+i)
+			k += b2i(m)
 		}
 	}
+	var f fired[K]
 	if v.isLeaf() {
-		if found < seg {
-			var grew bool
-			v.rep, v.vals, v.exists, grew = mergeLeafPF(v.rep, v.vals, v.exists, keys[l:r], vals[l:r], pf, seg-found, t.cfg.LeafSlack)
-			if grew {
-				t.ar.leafGrows.Add(1)
+		var merged int
+		v, merged = t.mergeAbsent(op, v, keys, vals, l, r, pf)
+		k += merged
+	} else {
+		below := above || t.rebuildDue(v, seg)
+		for i := 0; i < seg; {
+			j := i + 1
+			for j < seg && pf[j] == pf[i] {
+				j++
 			}
-		}
-		return v
-	}
-	for i := 0; i < seg; {
-		j := i + 1
-		for j < seg && pf[j] == pf[i] {
-			j++
-		}
-		if pf[i]&1 == 0 {
-			c := pf[i] >> 1
-			v.children[c] = t.insertSeq(v.children[c], keys, vals, l+i, l+j, sc, depth+1)
-		}
-		i = j
-	}
-	return v
-}
-
-// updateSeq is updateRec on the sequential path: overwrite the value
-// of every (live) key at the node whose Rep holds it, copying
-// out-of-generation nodes first and returning the possibly copied
-// subtree root.
-func (t *Tree[K, V]) updateSeq(v *node[K, V], keys []K, vals []V, l, r int, sc *scratch, depth int) *node[K, V] {
-	if v == nil {
-		return nil
-	}
-	v = t.owned(v)
-	seg := r - l
-	pf := sc.buf(depth, seg)
-	t.findPositionsSeq(v, keys, l, r, pf)
-	for i, p := range pf {
-		if p&1 == 1 {
-			v.vals[p>>1] = vals[l+i]
+			if pf[i]&1 == 0 {
+				c := int(pf[i] >> 1)
+				nc, kc, fc := t.writeSeq(op, v.children[c], keys, vals, l+i, l+j, below, sc, depth+1)
+				if !below && fc.pending() {
+					nc, fc = t.settle(nc, fc), fired[K]{}
+				}
+				if nc != v.children[c] {
+					v = t.owned(v)
+					v.children[c] = nc
+				}
+				k += kc
+				f.adopt(fc, c)
+			}
+			i = j
 		}
 	}
-	if v.isLeaf() {
-		return v
-	}
-	for i := 0; i < seg; {
-		j := i + 1
-		for j < seg && pf[j] == pf[i] {
-			j++
-		}
-		if pf[i]&1 == 0 {
-			c := pf[i] >> 1
-			v.children[c] = t.updateSeq(v.children[c], keys, vals, l+i, l+j, sc, depth+1)
-		}
-		i = j
-	}
-	return v
-}
-
-// removeSeq is removeRec on the sequential path.
-func (t *Tree[K, V]) removeSeq(v *node[K, V], keys []K, l, r int, sc *scratch, depth int) *node[K, V] {
-	k := r - l
-	if t.rebuildDue(v, k) {
-		if t.tryReserveRebuild(v.size - k) {
-			root := t.rebuildSubtracted(v, keys, l, r)
-			t.retireSubtree(v)
-			return root
-		}
-		t.deferRebuild(v, k, v.size-k) // over budget: debt, not rebuild
-	}
-	v = t.owned(v)
-	v.modCnt += k
-	v.size -= k
-	seg := r - l
-	pf := sc.buf(depth, seg)
-	t.findPositionsSeq(v, keys, l, r, pf)
-	for _, p := range pf {
-		if p&1 == 1 {
-			v.exists[p>>1] = false
-		}
-	}
-	if v.isLeaf() {
-		return v
-	}
-	for i := 0; i < seg; {
-		j := i + 1
-		for j < seg && pf[j] == pf[i] {
-			j++
-		}
-		if pf[i]&1 == 0 {
-			c := pf[i] >> 1
-			v.children[c] = t.removeSeq(v.children[c], keys, l+i, l+j, sc, depth+1)
-		}
-		i = j
-	}
-	return v
+	return t.finish(op, v, k, key0, above, f)
 }
 
 // mergeLeafPF merges the physically absent batch pairs into a leaf's
-// rep/vals/exists triple. A nil pf means the whole batch is absent
-// (the parallel insertion path pre-filters); otherwise entries with
-// the found bit set were revived in place and are skipped. absent is
-// the number of pairs that will actually be written.
+// rep/vals/exists triple: batch entries with the found bit set in pf
+// were handled in place and are skipped, and absent is the number of
+// pairs that will actually be written.
 //
-// When the leaf's arrays have spare capacity the merge runs in place
-// (backward, so sources are consumed before being overwritten);
-// otherwise fresh arrays are allocated with slack·n capacity
+// The merge runs backward in place, so sources are consumed before
+// being overwritten. When the leaf's arrays lack the capacity, they are
+// first copied into fresh arrays of slack·n capacity
 // (Config.LeafSlack), so the next few merges into the same leaf cost
 // nothing — grew reports that reallocation, feeding the leaf-growth
 // counter the leafslack experiment sweeps. Chunk-carved arrays are
-// capacity-clamped and therefore always take the allocating path on
-// their first merge, which is what keeps leaf growth out of shared
-// chunk storage. The arrays are leaf-retained either way, so they
-// never come from recycled scratch.
+// capacity-clamped and therefore always reallocate on their first
+// merge, which is what keeps leaf growth out of shared chunk storage.
+// The arrays are leaf-retained either way, so they never come from
+// recycled scratch.
 func mergeLeafPF[K iindex.Numeric, V any](rep []K, vals []V, exists []bool, batchK []K, batchV []V, pf []int32, absent int, slack float64) ([]K, []V, []bool, bool) {
-	skip := func(j int) bool { return pf != nil && pf[j]&1 == 1 }
 	n := len(rep) + absent
-	if cap(rep) >= n && cap(vals) >= n && cap(exists) >= n {
-		i := len(rep) - 1
-		rep, vals, exists = rep[:n], vals[:n], exists[:n]
-		w := n - 1
-		for j := len(batchK) - 1; j >= 0; j-- {
-			if skip(j) {
-				continue // revived in place; already present in rep
-			}
-			for i >= 0 && rep[i] > batchK[j] {
-				rep[w] = rep[i]
-				vals[w] = vals[i]
-				exists[w] = exists[i]
-				i--
-				w--
-			}
-			rep[w] = batchK[j]
-			vals[w] = batchV[j]
-			exists[w] = true
+	grew := cap(rep) < n || cap(vals) < n || cap(exists) < n
+	if grew {
+		grown := n + int(float64(n)*(slack-1)) // headroom for in-place follow-up merges
+		rep = append(make([]K, 0, grown), rep...)
+		vals = append(make([]V, 0, grown), vals...)
+		exists = append(make([]bool, 0, grown), exists...)
+	}
+	i, w := len(rep)-1, n-1
+	rep, vals, exists = rep[:n], vals[:n], exists[:n]
+	for j := len(batchK) - 1; j >= 0; j-- {
+		if pf[j]&1 == 1 {
+			continue // handled in place; already present in rep
+		}
+		for i >= 0 && rep[i] > batchK[j] {
+			rep[w], vals[w], exists[w] = rep[i], vals[i], exists[i]
+			i--
 			w--
 		}
-		return rep, vals, exists, false
+		rep[w], vals[w], exists[w] = batchK[j], batchV[j], true
+		w--
 	}
-	grown := n + int(float64(n)*(slack-1)) // headroom for in-place follow-up merges
-	nr := make([]K, 0, grown)
-	nv := make([]V, 0, grown)
-	ne := make([]bool, 0, grown)
-	i, j := 0, 0
-	for i < len(rep) && j < len(batchK) {
-		if skip(j) {
-			j++ // revived in place; already present in rep
-			continue
-		}
-		if rep[i] < batchK[j] {
-			nr = append(nr, rep[i])
-			nv = append(nv, vals[i])
-			ne = append(ne, exists[i])
-			i++
-		} else {
-			nr = append(nr, batchK[j])
-			nv = append(nv, batchV[j])
-			ne = append(ne, true)
-			j++
-		}
-	}
-	for ; i < len(rep); i++ {
-		nr = append(nr, rep[i])
-		nv = append(nv, vals[i])
-		ne = append(ne, exists[i])
-	}
-	for ; j < len(batchK); j++ {
-		if skip(j) {
-			continue
-		}
-		nr = append(nr, batchK[j])
-		nv = append(nv, batchV[j])
-		ne = append(ne, true)
-	}
-	return nr, nv, ne, true
+	return rep, vals, exists, grew
 }

@@ -8,9 +8,7 @@ import (
 // ContainsBatched reports membership for every key of the sorted
 // duplicate-free batch: result[i] is true iff keys[i] is in the tree
 // (§4, Listing 1.2). Expected O(m·log log n) work and polylog span.
-// The result is freshly allocated (it escapes to the caller); the
-// write paths reuse the traversal through containsInto with a scratch
-// destination instead.
+// The result is freshly allocated (it escapes to the caller).
 func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 	result := make([]bool, len(keys))
 	if len(keys) == 0 {
@@ -20,24 +18,16 @@ func (t *Tree[K, V]) ContainsBatched(keys []K) []bool {
 	return result
 }
 
-// containsInto resolves membership into the caller-provided result
-// slice (len(keys), zero-initialized: entries of absent keys are left
-// untouched). It is the arena-friendly entry the batched write paths
-// use with recycled buffers.
-func (t *Tree[K, V]) containsInto(keys []K, result []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	t.containsRec(t.root, keys, 0, len(keys), result)
-}
-
 // ContainsBatchedInto is ContainsBatched writing into a caller-provided
 // destination instead of allocating one: result must have len(keys) and
 // be zero-initialized — entries of absent keys are left untouched. It
 // exists so per-epoch callers (the combining frontend) can recycle
 // result arrays through an arena instead of allocating each epoch.
 func (t *Tree[K, V]) ContainsBatchedInto(keys []K, result []bool) {
-	t.containsInto(keys, result)
+	if len(keys) == 0 {
+		return
+	}
+	t.containsRec(t.root, keys, 0, len(keys), result)
 }
 
 // GetBatchedInto is GetBatched writing into caller-provided

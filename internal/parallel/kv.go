@@ -1,115 +1,10 @@
 package parallel
 
-// Key-value variants of the §2.4 sequence primitives: identical
-// algorithms to Merge and Difference, but each key carries a
-// position-aligned value along. The batched tree's rebuild paths use
-// them to keep values attached to keys through flatten-merge-rebuild
-// cycles without zipping pairs into a temporary struct slice.
-
-// MergeKV merges two sorted key sequences — each with a value slice of
-// the same length riding alongside — into freshly allocated key and
-// value slices: O(n) work and O(log² n) span, exactly like Merge. The
-// relative order of equal keys drawn from the two inputs is
-// unspecified; all callers in this repository merge disjoint
-// duplicate-free key sets.
-func MergeKV[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V) ([]K, []V) {
-	return MergeKVInto(p, ak, av, bk, bv, nil, nil)
-}
-
-// MergeKVInto is MergeKV writing into dstK/dstV: each destination's
-// backing array is reused when its capacity covers the output
-// (len(ak)+len(bk); destination lengths are ignored) and freshly
-// allocated otherwise. The tree's rebuild paths pass recycled scratch
-// buffers here so a flatten-merge-rebuild cycle allocates no merge
-// temporaries.
-//
-//pbist:noalloc
-func MergeKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) ([]K, []V) {
-	if len(ak) != len(av) || len(bk) != len(bv) {
-		panic("parallel: MergeKV keys/vals length mismatch")
-	}
-	n := len(ak) + len(bk)
-	outK := sized(dstK, n)
-	outV := sized(dstV, n)
-	mergeKVInto(p, ak, av, bk, bv, outK, outV)
-	return outK, outV
-}
-
-func mergeKVInto[K Ordered, V any](p *Pool, ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) {
-	// The divide step bisects the larger input and splits the smaller
-	// one by binary search, yielding two independent sub-merges.
-	for {
-		// Always bisect the larger input so the split is balanced.
-		if len(ak) < len(bk) {
-			ak, bk = bk, ak
-			av, bv = bv, av
-		}
-		if len(dstK) <= mergeCutoff || p.sequential() {
-			mergeKVSeq(ak, av, bk, bv, dstK, dstV)
-			return
-		}
-		am := len(ak) / 2
-		bm := LowerBound(bk, ak[am])
-		ak0, ak1 := ak[:am], ak[am:]
-		av0, av1 := av[:am], av[am:]
-		bk0, bk1 := bk[:bm], bk[bm:]
-		bv0, bv1 := bv[:bm], bv[bm:]
-		dk0, dk1 := dstK[:am+bm], dstK[am+bm:]
-		dv0, dv1 := dstV[:am+bm], dstV[am+bm:]
-		if !p.acquire() {
-			mergeKVSeq(ak0, av0, bk0, bv0, dk0, dv0)
-			ak, av, bk, bv, dstK, dstV = ak1, av1, bk1, bv1, dk1, dv1
-			continue
-		}
-		done := chanPool.Get().(chan *panicValue)
-		go func() {
-			var pv *panicValue
-			defer func() {
-				p.release()
-				done <- pv
-			}()
-			defer func() {
-				if r := recover(); r != nil {
-					pv = recoverValue(r)
-				}
-			}()
-			mergeKVInto(p, ak1, av1, bk1, bv1, dk1, dv1)
-		}()
-		mergeKVInto(p, ak0, av0, bk0, bv0, dk0, dv0)
-		if pv := <-done; pv != nil {
-			pv.repanic()
-		}
-		chanPool.Put(done)
-		return
-	}
-}
-
-//pbist:noalloc
-func mergeKVSeq[K Ordered, V any](ak []K, av []V, bk []K, bv []V, dstK []K, dstV []V) {
-	i, j, k := 0, 0, 0
-	for i < len(ak) && j < len(bk) {
-		if bk[j] < ak[i] {
-			dstK[k] = bk[j]
-			dstV[k] = bv[j]
-			j++
-		} else {
-			dstK[k] = ak[i]
-			dstV[k] = av[i]
-			i++
-		}
-		k++
-	}
-	for ; i < len(ak); i++ {
-		dstK[k] = ak[i]
-		dstV[k] = av[i]
-		k++
-	}
-	for ; j < len(bk); j++ {
-		dstK[k] = bk[j]
-		dstV[k] = bv[j]
-		k++
-	}
-}
+// Key-value variant of the §2.4 Difference primitive: the identical
+// algorithm, but each key carries a position-aligned value along. The
+// tree's set algebra uses it to keep values attached to keys through
+// flatten-subtract-rebuild without zipping pairs into a temporary
+// struct slice.
 
 // DifferenceKV returns the (key, value) pairs of the sorted sequence
 // ak/av whose key does not occur in sorted b, preserving order. Inputs
@@ -121,7 +16,7 @@ func DifferenceKV[K Ordered, V any](p *Pool, ak []K, av []V, b []K) ([]K, []V) {
 }
 
 // DifferenceKVInto is DifferenceKV writing into dstK/dstV under the
-// same capacity-reuse contract as MergeKVInto (worst-case output size
+// same capacity-reuse contract as the other *Into variants (worst-case output size
 // is len(ak)). Its own body is allocation-free: with sufficient dst
 // capacity, only diffKVPar's blocked bookkeeping allocates, and that
 // path is taken only when the pool decides the batch is worth forking.

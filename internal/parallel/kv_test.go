@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-// kvRef builds the reference answer with a plain sequential merge of
-// (key, value) pairs.
-func kvMergeRef(ak []int64, av []string, bk []int64, bv []string) ([]int64, []string) {
-	outK := make([]int64, 0, len(ak)+len(bk))
-	outV := make([]string, 0, len(ak)+len(bk))
-	i, j := 0, 0
-	for i < len(ak) && j < len(bk) {
-		if bk[j] < ak[i] {
-			outK = append(outK, bk[j])
-			outV = append(outV, bv[j])
-			j++
-		} else {
-			outK = append(outK, ak[i])
-			outV = append(outV, av[i])
-			i++
-		}
-	}
-	for ; i < len(ak); i++ {
-		outK = append(outK, ak[i])
-		outV = append(outV, av[i])
-	}
-	for ; j < len(bk); j++ {
-		outK = append(outK, bk[j])
-		outV = append(outV, bv[j])
-	}
-	return outK, outV
-}
-
 // disjointSortedKV returns two disjoint sorted key sets with values
 // derived from the keys, so value alignment is checkable after any
 // reordering.
@@ -65,28 +37,6 @@ func disjointSortedKV(r *rand.Rand, n int) (ak []int64, av []string, bk []int64,
 }
 
 func tag(k int64) string { return string(rune('a'+k%26)) + "-" + string(rune('0'+k%10)) }
-
-func TestMergeKVMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for _, workers := range []int{1, 4, 8} {
-		p := NewPool(workers)
-		for _, n := range []int{0, 1, 100, 20000} {
-			ak, av, bk, bv := disjointSortedKV(r, n)
-			wantK, wantV := kvMergeRef(ak, av, bk, bv)
-			gotK, gotV := MergeKV(p, ak, av, bk, bv)
-			if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-				t.Fatalf("workers=%d n=%d: MergeKV mismatch", workers, n)
-			}
-			// Values must still be derivable from their key: alignment
-			// survived the parallel split.
-			for i, k := range gotK {
-				if gotV[i] != tag(k) {
-					t.Fatalf("workers=%d n=%d: value misaligned at %d", workers, n, i)
-				}
-			}
-		}
-	}
-}
 
 func TestDifferenceKVMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
